@@ -128,26 +128,17 @@ jobsFlag()
 
 /**
  * System scheduler selected on the command line (--scheduler=step|
- * slice; default slice). The step scheduler is the bit-identical
- * reference — the escape hatch for debugging the event-driven path,
- * and one half of the sched_parity_is_exact differential test.
+ * slice|compiled; default compiled, the translation-cached path).
+ * All three are bit-identical: step is the reference oracle — the
+ * escape hatch for debugging the event-driven path, and one side of
+ * the sched_parity_is_exact differential test — and slice is the
+ * interpreter the compiled path deoptimizes to.
  */
 inline sim::SchedulerKind &
 schedulerFlag()
 {
-    static sim::SchedulerKind kind = sim::SchedulerKind::Slice;
+    static sim::SchedulerKind kind = sim::SchedulerKind::Compiled;
     return kind;
-}
-
-/** Consume a --scheduler=NAME argument; true iff it was one. */
-inline bool
-parseSchedulerFlag(const char *arg)
-{
-    std::string name;
-    if (!cli::keyedValue(arg, "--scheduler=", &name))
-        return false;
-    schedulerFlag() = sim::schedulerKindFromName(name);
-    return true;
 }
 
 /** Write the --report/--stats artifacts describing app run `res`. */

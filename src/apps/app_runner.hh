@@ -79,7 +79,8 @@ struct AppRunResult
     /**
      * The long run's translated-trace dump (System::dumpTraces),
      * captured iff RunConfig::dumpTraces is set. Empty unless the run
-     * used the compiled scheduler (smoke_app --dump-traces).
+     * dispatched compiled (the default scheduler, when nothing forces
+     * a deopt; smoke_app --dump-traces).
      */
     std::string traceDump;
 };
@@ -97,7 +98,7 @@ struct RunConfig
     compiler::StitchPolicy policy = compiler::StitchPolicy::Auto;
     fault::ArchHealth health = fault::ArchHealth::healthy();
     fault::FaultPlan faults;
-    sim::SchedulerKind scheduler = sim::SchedulerKind::Slice;
+    sim::SchedulerKind scheduler = sim::SchedulerKind::Compiled;
 
     /**
      * Capture the long run's translation-cache dump into
@@ -200,7 +201,7 @@ class AppRunner
     compiler::StitchPolicy policy_ = compiler::StitchPolicy::Auto;
     fault::ArchHealth health_ = fault::ArchHealth::healthy();
     fault::FaultPlan faults_;
-    sim::SchedulerKind scheduler_ = sim::SchedulerKind::Slice;
+    sim::SchedulerKind scheduler_ = sim::SchedulerKind::Compiled;
     std::mutex cacheMutex_; ///< guards cache_ across sweep workers
     std::map<std::string, std::unique_ptr<compiler::CompiledKernel>>
         cache_;

@@ -42,7 +42,9 @@ struct CommonFlags
 {
     std::string jsonPath;  ///< --json=FILE (bench metrics document)
     std::string out;       ///< --out=PATH (per-run artifacts)
-    std::string scheduler; ///< --scheduler=NAME (raw; empty = default)
+    std::string scheduler; ///< --scheduler=NAME (raw; empty = default;
+                           ///< stitchq/stitchd reject it: jobs pick
+                           ///< theirs in the job document)
     int jobs = 1;          ///< --jobs=N, resolved via resolveJobs()
 
     /** Consume one argv entry; true iff it was a shared flag. */

@@ -169,8 +169,8 @@ class Core
      * byte-identical to the interpreter's, including partial trace
      * executions cut short by a thrown fault (see DESIGN.md §15).
      *
-     * Precondition (System::runCompiledLoop enforces by deoptimizing
-     * the whole run to the slice scheduler): tracer, sampler and
+     * Precondition (System::runQueueLoop enforces by deoptimizing
+     * the whole run to runSlice): tracer, sampler and
      * fault injector off, and `budget` is the runaway backstop, not a
      * meaningful cutoff — mid-trace budget overshoot falls back to
      * single oracle steps so the final attempt still matches.

@@ -597,7 +597,7 @@ System::runStepLoop(RunStats &stats, std::uint64_t maxInstructions)
 }
 
 void
-System::runSliceLoop(RunStats &stats, std::uint64_t maxInstructions)
+System::runQueueLoop(RunStats &stats, std::uint64_t maxInstructions)
 {
     std::uint64_t executed = 0;
     const bool sampling = obs::Sampler::enabled();
@@ -611,6 +611,13 @@ System::runSliceLoop(RunStats &stats, std::uint64_t maxInstructions)
     const bool relaxed = !obs::Tracer::enabled() &&
                          !injector_.active() &&
                          maxInstructions >= runawayInstructionBudget;
+    // Compiled dispatch keeps the relaxed discipline and has no slow
+    // mode of its own: whenever an exact regime applies, the whole
+    // run deoptimizes to Core::runSlice, which handles it
+    // byte-exactly. The sampler's single-step dispatch below takes
+    // precedence over both.
+    const bool compiled =
+        params_.scheduler == SchedulerKind::Compiled && relaxed;
     TileId running = -1;
 
     queue_.clear();
@@ -629,7 +636,8 @@ System::runSliceLoop(RunStats &stats, std::uint64_t maxInstructions)
             }
 
             // Deadline watchdog poll (see runStepLoop): once per
-            // dispatched slice, never inside Core::runSlice.
+            // dispatched slice, never inside Core::runSlice or
+            // Core::runCompiled.
             if (params_.abortFlag &&
                 params_.abortFlag->load(std::memory_order_relaxed))
                 throw fault::DeadlineExceededError(
@@ -668,9 +676,13 @@ System::runSliceLoop(RunStats &stats, std::uint64_t maxInstructions)
                     horizonTime = next.time;
                     horizonTile = next.tile;
                 }
-                result = tile.core->runSlice(maxInstructions,
-                                             executed, horizonTime,
-                                             horizonTile, relaxed);
+                result = compiled
+                             ? tile.core->runCompiled(
+                                   maxInstructions, executed,
+                                   horizonTime, horizonTile)
+                             : tile.core->runSlice(
+                                   maxInstructions, executed,
+                                   horizonTime, horizonTile, relaxed);
             }
 
             if (result == cpu::StepResult::Blocked) {
@@ -705,7 +717,8 @@ System::runSliceLoop(RunStats &stats, std::uint64_t maxInstructions)
 
     // Same hoisted exception discipline as runStepLoop: the
     // no-injector frame converts only typed execution faults, the
-    // injector frame everything fault-induced.
+    // injector frame everything fault-induced. Compiled dispatch
+    // implies an inactive injector, so it always takes the first.
     if (!injector_.active()) {
         try {
             loop();
@@ -729,107 +742,6 @@ System::runSliceLoop(RunStats &stats, std::uint64_t maxInstructions)
         // fault of this run: let the engine type it as "deadline".
         throw;
     } catch (const FatalError &err) {
-        stats.termination = fault::Termination::Fault;
-        stats.faultMessage = detail::formatMessage(
-            "tile ", running, " crashed: ", err.what());
-        warn(stats.faultMessage);
-    }
-}
-
-void
-System::runCompiledLoop(RunStats &stats,
-                        std::uint64_t maxInstructions)
-{
-    // Deoptimize wholesale whenever per-instruction order or state is
-    // observable: the tracer (event file order), the sampler (bucket
-    // deltas per sample window), an active fault injector (exact
-    // partial stats at a Fault termination), or a meaningful
-    // instruction budget (which attempt is the cutoff). The slice
-    // scheduler already handles every one of these byte-exactly, so
-    // the compiled path never needs a slow mode of its own.
-    if (obs::Tracer::enabled() || obs::Sampler::enabled() ||
-        injector_.active() ||
-        maxInstructions < runawayInstructionBudget) {
-        runSliceLoop(stats, maxInstructions);
-        return;
-    }
-
-    std::uint64_t executed = 0;
-    TileId running = -1;
-
-    queue_.clear();
-    for (TileId t = 0; t < numTiles; ++t) {
-        Tile &tile = tiles_[static_cast<std::size_t>(t)];
-        if (tile.loaded && !tile.core->halted() && !tile.blocked)
-            queue_.push(t, tile.core->time());
-    }
-
-    auto loop = [&] {
-        while (!queue_.empty()) {
-            if (executed >= maxInstructions) {
-                stats.termination =
-                    fault::Termination::InstructionLimit;
-                return;
-            }
-
-            // Deadline watchdog poll (see runStepLoop): once per
-            // dispatched slice, never inside Core::runCompiled.
-            if (params_.abortFlag &&
-                params_.abortFlag->load(std::memory_order_relaxed))
-                throw fault::DeadlineExceededError(
-                    detail::formatMessage(
-                        "run aborted by deadline watchdog after ",
-                        executed, " instructions"));
-
-            TileId pick = queue_.top();
-            running = pick;
-            Tile &tile = tiles_[static_cast<std::size_t>(pick)];
-
-            Cycles horizonTime = ~Cycles{0};
-            TileId horizonTile = numTiles;
-            if (queue_.size() > 1) {
-                RunQueue::Entry next = queue_.second();
-                horizonTime = next.time;
-                horizonTile = next.tile;
-            }
-            cpu::StepResult result = tile.core->runCompiled(
-                maxInstructions, executed, horizonTime, horizonTile);
-
-            if (result == cpu::StepResult::Blocked) {
-                tile.blocked = true;
-                queue_.pop();
-            } else if (tile.core->halted()) {
-                queue_.pop();
-            } else {
-                queue_.updateTop(tile.core->time());
-            }
-
-            // Deliver wake-ups (see runStepLoop); woken receivers
-            // re-enter the queue at the time they blocked.
-            if (!sentThisStep_.empty()) {
-                for (const auto &msg : sentThisStep_) {
-                    Tile &rx =
-                        tiles_[static_cast<std::size_t>(msg.dst)];
-                    if (!rx.blocked)
-                        continue;
-                    const auto &pending = rx.core->pendingRecv();
-                    if (pending && pending->src == msg.src &&
-                        pending->tag == msg.tag) {
-                        rx.blocked = false;
-                        queue_.push(msg.dst, rx.core->time());
-                    }
-                }
-                sentThisStep_.clear();
-            }
-        }
-        noteDeadlock(stats);
-    };
-
-    // The injector is off here by construction; convert the typed
-    // execution faults with the same message as the other loops.
-    try {
-        loop();
-    } catch (const fault::ExecutionFaultError &err) {
         stats.termination = fault::Termination::Fault;
         stats.faultMessage = detail::formatMessage(
             "tile ", running, " crashed: ", err.what());
@@ -878,10 +790,8 @@ System::run(std::uint64_t maxInstructions)
         runStepLoop(stats, maxInstructions);
         break;
       case SchedulerKind::Slice:
-        runSliceLoop(stats, maxInstructions);
-        break;
       case SchedulerKind::Compiled:
-        runCompiledLoop(stats, maxInstructions);
+        runQueueLoop(stats, maxInstructions);
         break;
     }
 

@@ -42,13 +42,15 @@ enum class AccelMode
 };
 
 /**
- * How System::run dispatches work to the cores. Both schedulers
- * implement the same conservative discipline and produce
- * bit-identical RunStats, reports, traces and profiles; Step is the
- * simple reference (one linear scan + one instruction per iteration),
- * Slice the production path (indexed min-heap + run-ahead slices).
+ * How System::run dispatches work to the cores. Every scheduler
+ * implements the same conservative discipline and produces
+ * bit-identical RunStats, reports, traces and profiles, so the choice
+ * is an execution detail, never part of a result's identity. Step is
+ * the simple reference oracle (one linear scan + one instruction per
+ * iteration); Slice and Compiled share one event-driven loop
+ * (indexed min-heap + run-ahead slices), and Compiled is the default.
  *
- * The slice scheduler picks between two run-ahead regimes per run
+ * The event-driven loop picks between two run-ahead regimes per run
  * (see DESIGN.md §10 for the invariant proofs):
  *
  *  - relaxed (the fast path): a core runs ahead through tile-private
@@ -68,15 +70,14 @@ enum class AccelMode
  *    further drops to single-instruction dispatch so bucket deltas
  *    land in the reference sample windows.
  *
- * The compiled scheduler is the third regime: it keeps the slice
- * scheduler's relaxed run-ahead discipline but drives each core
- * through Core::runCompiled — translation-cached micro-op traces with
- * inline-cached memory routing and superinstructions (src/jit/,
- * DESIGN.md §15) instead of the per-instruction fetch→decode→switch.
- * Whenever something observes per-instruction order or state (cycle
- * tracing, interval sampling, an active fault injector, a meaningful
- * instruction budget), the whole run deoptimizes to the slice
- * scheduler, which already handles those regimes byte-exactly.
+ * Under Compiled, relaxed slices run through Core::runCompiled —
+ * translation-cached micro-op traces with inline-cached memory
+ * routing and superinstructions (src/jit/, DESIGN.md §15) instead of
+ * the per-instruction fetch→decode→switch of Core::runSlice (the
+ * Slice kind). Whenever something observes per-instruction order or
+ * state (cycle tracing, interval sampling, an active fault injector,
+ * a meaningful instruction budget), the whole run deoptimizes to
+ * Core::runSlice, which already handles those regimes byte-exactly.
  *
  * The `sched_parity_is_exact` ctest and tests/test_sched.cc hold all
  * three schedulers to byte-equality across all of these regimes.
@@ -85,7 +86,7 @@ enum class SchedulerKind
 {
     Step,  ///< reference: O(tiles) scan, one instruction per pick
     Slice, ///< event-driven: O(log tiles) heap, run-ahead slices
-    Compiled, ///< slice discipline + translation-cached trace dispatch
+    Compiled, ///< (default) Slice + translation-cached trace dispatch
 };
 
 /** Printable name ("step" / "slice" / "compiled"). */
@@ -103,7 +104,7 @@ struct SystemParams
     AccelMode accel = AccelMode::Stitch;
 
     /** Run-loop dispatch strategy (results are identical either way). */
-    SchedulerKind scheduler = SchedulerKind::Slice;
+    SchedulerKind scheduler = SchedulerKind::Compiled;
 
     /** Hardware faults to inject (default: none). */
     fault::FaultPlan faults;
@@ -385,17 +386,13 @@ class System : public cpu::CustomHandler, public cpu::MessageHub
     /** The reference scheduler: linear scan, one instruction/pick. */
     void runStepLoop(RunStats &stats, std::uint64_t maxInstructions);
 
-    /** The event-driven scheduler: run queue + run-ahead slices. */
-    void runSliceLoop(RunStats &stats, std::uint64_t maxInstructions);
-
     /**
-     * The compiled scheduler: the slice run queue driving
-     * Core::runCompiled. Deoptimizes wholesale to runSliceLoop when
-     * tracing, sampling, fault injection or a meaningful budget needs
-     * per-instruction observability.
+     * The event-driven schedulers (Slice and Compiled): run queue +
+     * run-ahead slices. Decides once per run whether each slice
+     * dispatches through Core::runCompiled or Core::runSlice (see
+     * SchedulerKind).
      */
-    void runCompiledLoop(RunStats &stats,
-                         std::uint64_t maxInstructions);
+    void runQueueLoop(RunStats &stats, std::uint64_t maxInstructions);
 
     /** Collect blocked-tile diagnostics when nothing is runnable. */
     void noteDeadlock(RunStats &stats);

@@ -51,8 +51,9 @@ inline constexpr const char *cacheEntrySchema = "stitch-cache-entry";
 inline constexpr int cacheEntryVersion = 1;
 
 /** Bumped whenever the engine changes what a stored result means
- *  (independent of the job-schema and report versions). */
-inline constexpr int engineVersion = 1;
+ *  or how its key is formed (independent of the job-schema and
+ *  report versions). 2: the scheduler left the cache identity. */
+inline constexpr int engineVersion = 2;
 
 /** The invalidation stamp every entry must match to be served. */
 std::string cacheStamp();

@@ -82,7 +82,7 @@ numField(const obs::Json &v, const char *key)
 }
 
 /** Reject any key outside `allowed` — strict parsing is the schema's
- *  typo guard (a silently ignored "scheduler " would run the wrong
+ *  typo guard (a silently ignored "policy " would run the wrong
  *  simulation and cache it under the wrong identity). */
 void
 checkKeys(const obs::Json &obj, const char *what,
@@ -394,7 +394,6 @@ JobSpec::canonicalJson() const
     j.set("app", resolveApp().name);
     j.set("mode", appModeToken(mode));
     j.set("policy", stitchPolicyToken(policy));
-    j.set("scheduler", sim::schedulerKindName(scheduler));
     j.set("samples_short", samplesShort);
     j.set("samples_long", samplesLong);
     j.set("max_instructions", maxInstructions);
@@ -420,9 +419,15 @@ JobSpec::toJson() const
     if (deadlineMs != 0)
         j.set("deadline_ms", deadlineMs);
     obs::Json canonical = canonicalJson();
-    for (const auto &kv : canonical.items())
-        if (kv.first != "schema" && kv.first != "version")
-            j.set(kv.first, kv.second);
+    for (const auto &kv : canonical.items()) {
+        if (kv.first == "schema" || kv.first == "version")
+            continue;
+        j.set(kv.first, kv.second);
+        // Not hashed; emitted after "policy" so documents keep their
+        // key order.
+        if (kv.first == "policy")
+            j.set("scheduler", sim::schedulerKindName(scheduler));
+    }
     return j;
 }
 

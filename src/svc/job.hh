@@ -9,11 +9,14 @@
  *
  * A spec has a *canonical form*: a JSON serialization with a fixed
  * key order, every default materialized, collections sorted and
- * deduplicated, and presentation-only fields (the label and the queue
- * priority) stripped. Two specs describe the same simulation iff
- * their canonical forms are byte-identical, which makes the canonical
- * form the cache identity: cacheKey() is a splitmix64-based hash of
- * those bytes (see svc/cache.hh for the collision guard).
+ * deduplicated, and fields that cannot change the result stripped:
+ * presentation and queueing (label, priority, deadline) and the
+ * execution detail of which simulator scheduler runs the job (all
+ * three are byte-identical by the parity gates). Two specs describe
+ * the same simulation iff their canonical forms are byte-identical,
+ * which makes the canonical form the cache identity: cacheKey() is a
+ * splitmix64-based hash of those bytes (see svc/cache.hh for the
+ * collision guard).
  */
 
 #ifndef STITCH_SVC_JOB_HH
@@ -70,11 +73,18 @@ struct JobSpec
      */
     std::uint64_t deadlineMs = 0;
 
+    /**
+     * Simulator scheduler. An execution detail, not a simulation
+     * property: step, slice and compiled produce byte-identical
+     * reports, so jobs differing only here share one cache entry.
+     * The "scheduler" key stays accepted and echoed by toJson().
+     */
+    sim::SchedulerKind scheduler = sim::SchedulerKind::Compiled;
+
     // The simulation itself — every field below is hashed.
     std::string app; ///< full catalog name (resolved at parse time)
     apps::AppMode mode = apps::AppMode::Stitch;
     compiler::StitchPolicy policy = compiler::StitchPolicy::Auto;
-    sim::SchedulerKind scheduler = sim::SchedulerKind::Slice;
     int samplesShort = 4;
     int samplesLong = 12;
 
@@ -100,7 +110,8 @@ struct JobSpec
      */
     static JobSpec fromJson(const obs::Json &doc);
 
-    /** Full round-trippable document (label and priority included). */
+    /** Full round-trippable document (label, priority, deadline and
+     *  scheduler included). */
     obs::Json toJson() const;
 
     /** The canonical form (see the file comment). */

@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <functional>
 #include <string>
 #include <vector>
 
+#include "apps/app_runner.hh"
 #include "cpu/core.hh"
 #include "fault/fault.hh"
 #include "isa/assembler.hh"
@@ -17,6 +19,8 @@
 #include "jit/translate.hh"
 #include "jit/validate.hh"
 #include "mem/addrmap.hh"
+#include "obs/sampler.hh"
+#include "obs/trace.hh"
 #include "sim/report.hh"
 #include "sim/system.hh"
 
@@ -432,6 +436,61 @@ TEST(JitSystem, FiniteBudgetDeoptsAndCutsAtTheSameInstruction)
     auto compiled = runOnce(sim::SchedulerKind::Compiled);
     EXPECT_EQ(step.first, compiled.first);
     EXPECT_TRUE(compiled.second.empty()); // budget forces deopt
+}
+
+/**
+ * Parity tests cannot see a silent fallback to the interpreter (the
+ * outputs are byte-identical), so count translations instead: a
+ * default-constructed SystemParams must dispatch compiled, and every
+ * deopt condition must leave the translation cache empty.
+ */
+TEST(JitSystem, DefaultParamsDispatchCompiledUnlessObserved)
+{
+    auto traces = [](sim::SystemParams params,
+                     std::uint64_t budget =
+                         sim::System::runawayInstructionBudget) {
+        sim::System system(params);
+        Assembler a("busy");
+        auto loop = a.newLabel();
+        a.li(t0, 32);
+        a.bind(loop);
+        a.addi(t0, t0, -1);
+        a.bne(t0, zero, loop);
+        a.halt();
+        system.loadProgram(0, wrap(a.finish()));
+        auto stats = system.run(budget);
+        EXPECT_EQ(stats.termination, fault::Termination::Completed);
+        return system.coreAt(0).traceCount();
+    };
+
+    EXPECT_GT(traces(sim::SystemParams{}), 0u);
+
+    const std::string path = testing::TempDir() + "jit_deopt_trace.json";
+    obs::Tracer::instance().start(path);
+    EXPECT_EQ(traces(sim::SystemParams{}), 0u);
+    obs::Tracer::instance().stop();
+    std::remove(path.c_str());
+
+    obs::Sampler::instance().start(1000);
+    EXPECT_EQ(traces(sim::SystemParams{}), 0u);
+    obs::Sampler::instance().stop();
+
+    sim::SystemParams faulty;
+    faulty.faults = fault::FaultPlan::bitFlips(0.01, 7);
+    EXPECT_EQ(traces(faulty), 0u);
+
+    EXPECT_EQ(traces(sim::SystemParams{}, /*budget=*/1'000'000), 0u);
+}
+
+TEST(JitSystem, DefaultAppRunDispatchesCompiled)
+{
+    apps::AppRunner runner(1, 2);
+    apps::RunConfig config = runner.config();
+    config.dumpTraces = true;
+    auto res = runner.run(apps::app1Gesture(), apps::AppMode::Stitch,
+                          config);
+    EXPECT_EQ(res.stats.termination, fault::Termination::Completed);
+    EXPECT_NE(res.traceDump.find("trace @w"), std::string::npos);
 }
 
 TEST(JitSystem, CrashTerminationIsIdenticalAcrossSchedulers)

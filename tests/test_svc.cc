@@ -78,7 +78,7 @@ TEST(JobSchema, MinimalDocMaterializesDefaults)
     EXPECT_EQ(spec.app, "APP1-gesture");
     EXPECT_EQ(spec.mode, apps::AppMode::Stitch);
     EXPECT_EQ(spec.policy, compiler::StitchPolicy::Auto);
-    EXPECT_EQ(spec.scheduler, sim::SchedulerKind::Slice);
+    EXPECT_EQ(spec.scheduler, sim::SchedulerKind::Compiled);
     EXPECT_EQ(spec.samplesShort, 4);
     EXPECT_EQ(spec.samplesLong, 12);
     EXPECT_EQ(spec.maxInstructions, 0u);
@@ -193,6 +193,24 @@ TEST(JobSchema, CacheKeyIgnoresPresentationFields)
     JobSpec e = a;
     e.maxInstructions = 1000;
     EXPECT_NE(a.cacheKey(), e.cacheKey());
+}
+
+TEST(JobSchema, SchedulerRoundTripsButStaysOutOfCacheIdentity)
+{
+    obs::Json doc = minimalJob();
+    doc.set("scheduler", "step");
+    JobSpec spec = JobSpec::fromJson(doc);
+    EXPECT_EQ(spec.scheduler, sim::SchedulerKind::Step);
+    EXPECT_EQ(JobSpec::fromJson(spec.toJson()).scheduler,
+              sim::SchedulerKind::Step);
+    EXPECT_FALSE(spec.canonicalJson().has("scheduler"));
+
+    // Every scheduler yields byte-identical reports, so which one
+    // runs a job cannot change its cache identity.
+    JobSpec bare = JobSpec::fromJson(minimalJob());
+    EXPECT_EQ(bare.canonicalJson().dump(),
+              spec.canonicalJson().dump());
+    EXPECT_EQ(bare.cacheKey(), spec.cacheKey());
 }
 
 TEST(JobSchema, DeadlineRoundTripsButStaysOutOfCacheIdentity)
@@ -465,6 +483,41 @@ TEST(JobEngine, PriorityOrdersClaimsAndDuplicatesCoalesce)
     EXPECT_TRUE(engine.result(low).cached);
     EXPECT_EQ(engine.result(low).report.dump(),
               engine.result(high).report.dump());
+}
+
+TEST(JobEngine, JobsDifferingOnlyInSchedulerShareOneSimulation)
+{
+    // The same APP1 job under step, slice and the default scheduler:
+    // the first claim simulates, the other two are cache hits, and
+    // all three reports are byte-identical.
+    JobEngine engine;
+    std::vector<int> ids;
+    for (const char *scheduler : {"step", "slice", ""}) {
+        obs::Json doc = minimalJob();
+        doc.set("mode", "baseline");
+        doc.set("samples_short", 1);
+        doc.set("samples_long", 2);
+        if (*scheduler)
+            doc.set("scheduler", scheduler);
+        ids.push_back(engine.submit(JobSpec::fromJson(doc)));
+    }
+    engine.run();
+
+    for (int id : ids)
+        ASSERT_EQ(engine.result(id).status,
+                  JobResult::Status::Completed);
+    EXPECT_FALSE(engine.result(ids[0]).cached);
+    EXPECT_TRUE(engine.result(ids[1]).cached);
+    EXPECT_TRUE(engine.result(ids[2]).cached);
+    for (int id : ids)
+        EXPECT_EQ(engine.result(id).report.dump(),
+                  engine.result(ids[0]).report.dump());
+
+    obs::Json report = engine.serviceReportJson();
+    const obs::Json &jobs =
+        report.get("counters").get("svc").get("jobs");
+    EXPECT_EQ(jobs.get("simulated").asUint(), 1u);
+    EXPECT_EQ(jobs.get("cache_hits").asUint(), 2u);
 }
 
 TEST(JobEngine, TypedFailureDoesNotSinkTheBatch)

@@ -9,9 +9,12 @@
 #  3. Re-running the batch against the warm on-disk cache must perform
 #     ZERO simulations (service counters: simulated == 0, every job a
 #     cache hit) and reproduce every report byte for byte.
+#  4. `--scheduler=` is not a front-end flag: stitchq and stitchd both
+#     reject it with a usage error (exit 2) that names the job
+#     document's "scheduler" key.
 #
-# Invoked by stitchq_batch_smoke with -DSTITCHQ=... -DSMOKE_APP=...
-# -DOUT_DIR=...
+# Invoked by stitchq_batch_smoke with -DSTITCHQ=... -DSTITCHD=...
+# -DSMOKE_APP=... -DOUT_DIR=...
 
 set(work "${OUT_DIR}/stitchq_smoke")
 file(REMOVE_RECURSE "${work}")
@@ -27,6 +30,24 @@ file(WRITE "${work}/batch.jsonl"
 
 {\"schema\":\"stitch-job\",\"version\":1,\"name\":\"gesture-again\",\"priority\":9,\"app\":\"APP1-gesture\",\"mode\":\"stitch\"}
 ")
+
+# 4. A parsed-then-ignored --scheduler= would silently run the default;
+# both front-ends must refuse it before doing any work.
+foreach(tool STITCHQ STITCHD)
+    execute_process(
+        COMMAND "${${tool}}" "${work}/batch.jsonl" "--scheduler=step"
+        RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+    if(NOT rc EQUAL 2)
+        message(FATAL_ERROR
+                "${tool} --scheduler=step: expected usage error 2, "
+                "got ${rc}")
+    endif()
+    if(NOT err MATCHES "\"scheduler\" key")
+        message(FATAL_ERROR
+                "${tool} --scheduler=step rejection does not name "
+                "the job document's \"scheduler\" key: ${err}")
+    endif()
+endforeach()
 
 # The serial reference: smoke_app's --report of the same application
 # is built by the same svc::appReportJson, so equality must be exact.
@@ -93,4 +114,4 @@ if(NOT simulated EQUAL 0 OR NOT hits EQUAL 3)
 endif()
 
 message(STATUS "stitchq batch matches serial reports; warm cache "
-               "re-ran 0 simulations")
+               "re-ran 0 simulations; --scheduler= rejected")

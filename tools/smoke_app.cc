@@ -13,11 +13,12 @@
  * and --speedscope describe the last application run executed (filter
  * to one app for a focused report, e.g. `smoke_app APP1
  * --report=r.json --profile`). --scheduler selects the simulator
- * scheduler (default: the event-driven slice scheduler; step is the
- * single-step reference, compiled the translation-cached backend —
- * all three produce identical results). --dump-hot prints the last
- * run's hottest basic blocks; --dump-traces prints its translated
- * micro-op traces (compiled scheduler only).
+ * scheduler (default: compiled, the translation-cached backend; slice
+ * is the event-driven interpreter it deoptimizes to, step the
+ * single-step reference — all three produce identical results).
+ * --dump-hot prints the last run's hottest basic blocks;
+ * --dump-traces prints its translated micro-op traces (empty under
+ * step or slice, or when tracing or profiling deoptimizes the run).
  */
 
 #include <cstdio>
@@ -51,7 +52,7 @@ main(int argc, char **argv)
     }
     sim::SchedulerKind scheduler =
         common.scheduler.empty()
-            ? sim::SchedulerKind::Slice
+            ? sim::SchedulerKind::Compiled
             : sim::schedulerKindFromName(common.scheduler);
     obsOpts.begin();
 

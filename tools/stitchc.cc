@@ -8,7 +8,9 @@
  *
  *   <kernel>    a catalog kernel name (see `stitchc --list`)
  *   --listing   disassemble the best stitched binary
- *   --dfg       dump the hot-block dataflow graphs
+ *   --dfg       dump the hot-block dataflow graphs, each with its ISE
+ *               candidate count and the candidates selected for the
+ *               best stitched target (node ids, saved cycles/exec)
  *   --configs   decode every 19-bit patch configuration the binary
  *               carries (the paper's control words, human readable)
  *
@@ -24,8 +26,10 @@
 #include <string>
 
 #include "compiler/driver.hh"
+#include "compiler/ise_ident.hh"
 #include "compiler/liveness.hh"
 #include "compiler/profiler.hh"
+#include "compiler/selector.hh"
 #include "cpu/patch_handler.hh"
 #include "kernels/catalog.hh"
 #include "obs/buildinfo.hh"
@@ -90,6 +94,7 @@ main(int argc, char **argv)
                     v.binary.fusedCustCount);
     }
 
+    const auto *best = compiled.bestStitch();
     if (dfg) {
         auto profile = compiler::profileProgram(compiled.software);
         auto liveOuts = compiler::blockLiveOuts(compiled.software,
@@ -107,10 +112,23 @@ main(int argc, char **argv)
             auto graph = compiler::Dfg::build(
                 compiled.software, bb, spmRegs, &liveOuts[bi]);
             std::printf("%s", graph.toString().c_str());
+            auto candidates = compiler::identifyCandidates(graph);
+            auto selected =
+                compiler::selectIses(graph, candidates, best->target);
+            std::printf("%zu ISE candidates; %zu selected for %s:",
+                        candidates.size(), selected.size(),
+                        best->target.name().c_str());
+            for (const auto &sel : selected) {
+                std::printf(" [");
+                for (int node : sel.cand.nodes)
+                    std::printf("%d ", node);
+                std::printf("saves %lld]",
+                            static_cast<long long>(sel.savedPerExec));
+            }
+            std::printf("\n");
         }
     }
 
-    const auto *best = compiled.bestStitch();
     if (listing) {
         std::printf("\n-- best stitched binary (%s) --\n%s",
                     best->target.name().c_str(),

@@ -220,6 +220,15 @@ main(int argc, char **argv)
         }
         jobPath = arg;
     }
+    if (!common.scheduler.empty()) {
+        // Every scheduler yields the same report, so the choice is
+        // per job, not per process.
+        std::fprintf(stderr,
+                     "stitchd: --scheduler is not a stitchd flag; choose "
+                     "a scheduler with the job document's "
+                     "\"scheduler\" key\n");
+        return 2;
+    }
 
     try {
         if (!sendTarget.empty()) {

@@ -123,6 +123,15 @@ main(int argc, char **argv)
         }
         batchPath = arg;
     }
+    if (!common.scheduler.empty()) {
+        // Every scheduler yields the same report, so the choice is
+        // per job, not per process.
+        std::fprintf(stderr,
+                     "stitchq: --scheduler is not a stitchq flag; choose "
+                     "a scheduler with the job document's "
+                     "\"scheduler\" key\n");
+        return 2;
+    }
     if (batchPath.empty()) {
         std::fprintf(
             stderr,
