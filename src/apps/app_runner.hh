@@ -6,17 +6,24 @@
  *
  * The runner caches compiled kernels by (name, shape) — APP1's six
  * FFT stages compile once — because compile-and-measure across 13
- * targets is the expensive step.
+ * targets is the expensive step. It also memoises default-path
+ * simulations by exact machine identity (DESIGN.md §10.1): a sweep
+ * over sample windows and stitch policies re-runs the same machine
+ * many times, and each distinct one is simulated once.
  */
 
 #ifndef STITCH_APPS_APP_RUNNER_HH
 #define STITCH_APPS_APP_RUNNER_HH
 
+#include <array>
 #include <atomic>
+#include <list>
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <unordered_map>
 
 #include "apps/apps.hh"
 #include "compiler/stitcher.hh"
@@ -140,6 +147,99 @@ struct RunConfig
     const std::atomic<bool> *abortFlag = nullptr;
 };
 
+/**
+ * One fully described machine: everything that configures a
+ * sim::System for an application run except the sample count and the
+ * run-only knobs of RunConfig. AppRunner::prepare() builds it
+ * (compile, stitch, place, wire); simulateMachine() configures a
+ * System from these fields and nothing else, and key() serializes the
+ * same fields — so the run memo's identity cannot leave out an input
+ * that shapes the machine.
+ */
+struct MachineDesc
+{
+    sim::AccelMode accel = sim::AccelMode::Stitch;
+    core::StitchArch arch = core::StitchArch::standard();
+    std::optional<core::SnocConfig> snoc; ///< preset (Stitch modes)
+
+    /** One stage's binary on its tile, in stage order. */
+    struct TileLoad
+    {
+        TileId tile = 0;
+        /** Owned by the runner's kernel cache (lives as long as it). */
+        const compiler::RewrittenProgram *binary = nullptr;
+        /** Kernel-cache key + "@" + variant target, or "@sw". */
+        std::string identity;
+    };
+    std::vector<TileLoad> loads;
+
+    /** Fused patch pairs (local tile, remote tile). */
+    std::vector<std::pair<TileId, TileId>> fusion;
+
+    /** Message-channel wiring: comm-table words poked before a run. */
+    struct Poke
+    {
+        TileId tile = 0;
+        Addr addr = 0;
+        Word value = 0;
+    };
+    std::vector<Poke> wiring;
+
+    /** Exact identity of a run of this machine over `nSamples`. */
+    std::string key(int nSamples) const;
+};
+
+/** The prepare step's output: the machine plus the placement facts a
+ *  run result reports about it. */
+struct PreparedRun
+{
+    MachineDesc machine;
+    bool hasPlan = false;
+    compiler::StitchPlan plan; ///< valid for the Stitch modes
+    std::vector<std::pair<std::string, TileId>> stageBindings;
+};
+
+/**
+ * The simulate step: configure a System from `machine` alone, poke
+ * `nSamples` into every loaded tile and run it under `config`'s
+ * scheduler, faults, budget and abort flag. Always simulates — this is
+ * what micro_perf times. `statsOut` receives the stats-registry tree
+ * (zero counters omitted); `traceDump`, when `config.dumpTraces` is
+ * set, the translation-cache dump.
+ */
+sim::RunStats simulateMachine(const MachineDesc &machine, int nSamples,
+                              const RunConfig &config,
+                              obs::Json *statsOut = nullptr,
+                              std::string *traceDump = nullptr);
+
+/** Why a simulation bypassed the run memo (see AppRunner::simulate). */
+enum class MemoBypass
+{
+    Step,       ///< the step oracle was asked for explicitly
+    Slice,      ///< the slice interpreter was asked for explicitly
+    Budget,     ///< a finite instruction budget
+    Fault,      ///< an armed fault plan
+    Unhealthy,  ///< stitched around an unhealthy arch
+    Tracer,     ///< obs::Tracer is recording
+    Sampler,    ///< obs::Sampler is recording
+    DumpTraces, ///< RunConfig::dumpTraces
+};
+
+inline constexpr int numMemoBypasses = 8;
+
+/** Metric-friendly reason name ("step", "dump_traces", ...). */
+const char *memoBypassName(MemoBypass reason);
+
+/** Run-memo activity since the runner was built. */
+struct RunMemoStats
+{
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;    ///< eligible runs that simulated
+    std::uint64_t evictions = 0; ///< LRU capacity evictions
+    std::size_t entries = 0;
+    std::array<std::uint64_t, numMemoBypasses> bypassed{};
+};
+
 /** Compiles, stitches, places, and simulates applications. */
 class AppRunner
 {
@@ -152,12 +252,37 @@ class AppRunner
     AppRunResult run(const AppSpec &app, AppMode mode);
 
     /**
-     * Run `app` under `mode` with an explicit per-call configuration.
+     * Run `app` under `mode` with an explicit per-call configuration:
+     * prepare(), then simulate() the short and the long run.
      * Thread-safe: concurrent calls on one runner share the compiled
-     * kernel cache (internally locked) and touch no other state.
+     * kernel cache and the run memo (each internally locked) and
+     * touch no other state.
      */
     AppRunResult run(const AppSpec &app, AppMode mode,
                      const RunConfig &config);
+
+    /** The prepare step of run(): compile, stitch, place, wire. */
+    PreparedRun prepare(const AppSpec &app, AppMode mode,
+                        const RunConfig &config);
+
+    /**
+     * simulateMachine() through the run memo. A default-path run
+     * (compiled scheduler, runaway budget, no fault plan, healthy
+     * arch, no tracer, sampler or trace dump) whose exact key was
+     * already simulated to completion returns the stored stats and
+     * stats dump; everything else simulates and counts its bypass
+     * reason. A hit honours an already-tripped abort flag exactly
+     * like the run loop's first dispatch poll.
+     */
+    sim::RunStats simulate(const MachineDesc &machine, int nSamples,
+                           const RunConfig &config,
+                           obs::Json *statsOut = nullptr,
+                           std::string *traceDump = nullptr);
+
+    /** Entry cap of the run memo (LRU beyond it). */
+    static constexpr std::size_t runMemoCapacity = 256;
+
+    RunMemoStats runMemoStats() const;
 
     /** Snapshot of the setter-configured state as a RunConfig. */
     RunConfig config() const;
@@ -195,6 +320,27 @@ class AppRunner
     }
 
   private:
+    /** One kernel-cache entry; its software binary is built once so
+     *  every MachineDesc can point at it. */
+    struct KernelEntry
+    {
+        std::string key; ///< "name/numIn/numOut/samples"
+        compiler::CompiledKernel compiled;
+        compiler::RewrittenProgram software;
+    };
+
+    /** The cache entry for a stage shape (compiled on first use,
+     *  thread-safe). */
+    const KernelEntry &kernelFor(const std::string &kernel,
+                                 const kernels::PipelineShape &shape);
+
+    /** A completed run, as the memo keeps it. */
+    struct MemoEntry
+    {
+        sim::RunStats stats;
+        std::string statsDump; ///< serialized: a fraction of the tree
+    };
+
     int samplesShort_;
     int samplesLong_;
     core::StitchArch arch_ = core::StitchArch::standard();
@@ -203,8 +349,15 @@ class AppRunner
     fault::FaultPlan faults_;
     sim::SchedulerKind scheduler_ = sim::SchedulerKind::Compiled;
     std::mutex cacheMutex_; ///< guards cache_ across sweep workers
-    std::map<std::string, std::unique_ptr<compiler::CompiledKernel>>
-        cache_;
+    std::map<std::string, std::unique_ptr<KernelEntry>> cache_;
+
+    /** Run memo: LRU list (most recent first) + exact-key index. */
+    mutable std::mutex memoMutex_;
+    using MemoList = std::list<
+        std::pair<std::string, std::shared_ptr<const MemoEntry>>>;
+    MemoList memoLru_;
+    std::unordered_map<std::string, MemoList::iterator> memoIndex_;
+    RunMemoStats memoStats_; ///< `entries` is filled on read
 };
 
 } // namespace stitch::apps

@@ -34,31 +34,31 @@ ResultCache::diskPath(const std::string &key) const
 }
 
 void
-ResultCache::memInsert(const std::string &key,
+ResultCache::memInsert(const std::string &canonical,
                        const CacheEntry &entry)
 {
     if (memEntries_ == 0)
         return;
-    if (auto it = index_.find(key); it != index_.end()) {
+    if (auto it = index_.find(canonical); it != index_.end()) {
         lru_.erase(it->second);
         index_.erase(it);
     }
-    lru_.push_front({key, entry});
-    index_[key] = lru_.begin();
+    lru_.push_front({canonical, entry});
+    index_[canonical] = lru_.begin();
     while (lru_.size() > memEntries_) {
-        index_.erase(lru_.back().key);
+        index_.erase(lru_.back().canonical);
         lru_.pop_back();
         ++stats_.evictions;
     }
 }
 
 std::optional<CacheEntry>
-ResultCache::memLookup(const std::string &key,
+ResultCache::memLookup(const std::string &canonical,
                        const telem::TraceContext &trace)
 {
     telem::ScopedSpan span(trace, telem::Stage::CacheProbe);
     std::lock_guard<std::mutex> lock(mutex_);
-    if (auto it = index_.find(key); it != index_.end()) {
+    if (auto it = index_.find(canonical); it != index_.end()) {
         // Refresh recency.
         lru_.splice(lru_.begin(), lru_, it->second);
         ++stats_.memHits;
@@ -78,7 +78,8 @@ ResultCache::diskLookup(const JobSpec &spec,
         return std::nullopt;
     }
 
-    const std::string key = spec.cacheKey();
+    const std::string canonical = spec.canonicalJson().dump();
+    const std::string key = cacheKeyFor(canonical);
     const std::string path = diskPath(key);
     std::FILE *f = std::fopen(path.c_str(), "rb");
     if (!f) {
@@ -112,8 +113,7 @@ ResultCache::diskLookup(const JobSpec &spec,
             !doc.has("derived")) {
             invalid = true;
         } else if (!doc.has("spec") ||
-                   doc.get("spec").dump() !=
-                       spec.canonicalJson().dump()) {
+                   doc.get("spec").dump() != canonical) {
             // Verify the stored spec echo against the request: a
             // hash collision must degrade to a miss, not a wrong
             // report.
@@ -123,7 +123,7 @@ ResultCache::diskLookup(const JobSpec &spec,
         } else {
             CacheEntry entry{doc.get("report"), doc.get("derived")};
             std::lock_guard<std::mutex> lock(mutex_);
-            memInsert(key, entry);
+            memInsert(canonical, entry);
             ++stats_.diskHits;
             return entry;
         }
@@ -141,7 +141,7 @@ std::optional<CacheEntry>
 ResultCache::lookup(const JobSpec &spec,
                     const telem::TraceContext &trace)
 {
-    if (auto hit = memLookup(spec.cacheKey(), trace))
+    if (auto hit = memLookup(spec.canonicalJson().dump(), trace))
         return hit;
     return diskLookup(spec, trace);
 }
@@ -169,10 +169,12 @@ ResultCache::noteWriteFailure(const std::string &why)
 void
 ResultCache::store(const JobSpec &spec, const CacheEntry &entry)
 {
-    const std::string key = spec.cacheKey();
+    const obs::Json canonical = spec.canonicalJson();
+    const std::string canonicalText = canonical.dump();
+    const std::string key = cacheKeyFor(canonicalText);
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        memInsert(key, entry);
+        memInsert(canonicalText, entry);
         ++stats_.stores;
     }
     if (!diskEnabled() || memoryOnly())
@@ -182,7 +184,7 @@ ResultCache::store(const JobSpec &spec, const CacheEntry &entry)
     doc.set("version", cacheEntryVersion);
     doc.set("stamp", cacheStamp());
     doc.set("key", key);
-    doc.set("spec", spec.canonicalJson());
+    doc.set("spec", canonical);
     doc.set("report", entry.report);
     doc.set("derived", entry.derived);
     const std::string text = doc.dump(2) + "\n";

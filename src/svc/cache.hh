@@ -2,11 +2,12 @@
  * @file
  * Content-addressed result cache for simulation jobs.
  *
- * Identity is the job spec's canonical form (svc/job.hh): the cache
- * key is its hash, and every stored entry echoes the canonical spec
- * so a hit is verified byte-for-byte against what was asked for — a
- * hash collision or a corrupted file degrades to a miss, never to a
- * wrong report.
+ * Identity is the job spec's canonical form (svc/job.hh). The memory
+ * layer is indexed by the canonical form itself; the disk layer is
+ * named by its hash (the cache key), and every stored entry echoes
+ * the canonical spec so a hit is verified byte-for-byte against what
+ * was asked for — a hash collision or a corrupted file degrades to a
+ * miss, never to a wrong report.
  *
  * Two layers share one interface: a bounded in-memory LRU (per
  * engine, catches intra-batch duplicates) and an optional on-disk
@@ -84,10 +85,12 @@ class ResultCache
     explicit ResultCache(std::string dir = "",
                          std::size_t memEntries = 256);
 
-    /** Probe the memory layer only (refreshes recency). A live
-     *  `trace` context records the probe as a cache_probe span. */
+    /** Probe the memory layer only (refreshes recency) by the
+     *  spec's canonical form, `canonicalJson().dump()` — exact, not
+     *  a hash. A live `trace` context records the probe as a
+     *  cache_probe span. */
     std::optional<CacheEntry>
-    memLookup(const std::string &key,
+    memLookup(const std::string &canonical,
               const telem::TraceContext &trace = {});
 
     /**
@@ -176,7 +179,8 @@ class ResultCache
 
   private:
     std::string diskPath(const std::string &key) const;
-    void memInsert(const std::string &key, const CacheEntry &entry);
+    void memInsert(const std::string &canonical,
+                   const CacheEntry &entry);
     void noteWriteFailure(const std::string &why);
 
     mutable std::mutex mutex_;
@@ -188,10 +192,11 @@ class ResultCache
     std::atomic<std::uint64_t> storeSeq_{0}; ///< tmp names + chaos key
     const ServiceFaultInjector *injector_ = nullptr;
 
-    /** LRU: most-recent at the front; map values point into lru_. */
+    /** LRU: most-recent at the front; map values point into lru_,
+     *  keyed by the canonical spec. */
     struct MemEntry
     {
-        std::string key;
+        std::string canonical;
         CacheEntry entry;
     };
     std::list<MemEntry> lru_;

@@ -48,6 +48,8 @@ JobEngine::JobEngine(const EngineOptions &options)
     registry_.add("svc.cache", cacheStats_);
     registry_.add("svc.queue", queueStats_);
     registry_.add("svc.latency", latencyStats_);
+    registry_.add("svc.run_memo", memoStats_);
+    registry_.add("svc.run_memo.bypassed", memoBypassStats_);
     // Materialize the counter set so reports carry stable keys even
     // before the first job.
     for (const char *name :
@@ -55,6 +57,11 @@ JobEngine::JobEngine(const EngineOptions &options)
           "cache_hits", "simulated"})
         jobStats_.counter(name);
     queueStats_.counter("peak_depth");
+    for (const char *name : {"hits", "misses", "evictions", "entries"})
+        memoStats_.counter(name);
+    for (int r = 0; r < apps::numMemoBypasses; ++r)
+        memoBypassStats_.counter(
+            apps::memoBypassName(static_cast<apps::MemoBypass>(r)));
     for (const char *name : {"le_1ms", "le_10ms", "le_100ms", "le_1s",
                              "le_10s", "gt_10s"})
         latencyStats_.counter(name);
@@ -137,7 +144,8 @@ JobEngine::submit(const JobSpec &spec)
 {
     const std::uint64_t t0 = spanSink_.nowUs();
     spec.validate();
-    const std::string key = spec.cacheKey();
+    std::string canonical = spec.canonicalJson().dump();
+    const std::string key = cacheKeyFor(canonical);
 
     std::lock_guard<std::mutex> lock(mutex_);
 
@@ -192,6 +200,7 @@ JobEngine::submit(const JobSpec &spec)
     job->id = id;
     job->spec = spec;
     job->result.key = key;
+    job->canonical = std::move(canonical);
     job->result.traceId =
         telem::traceIdFor(traceSeed_,
                           static_cast<std::uint64_t>(id));
@@ -510,7 +519,7 @@ JobEngine::claimAndRunOne(int worker)
             // section: attribution (hit vs simulate) becomes a pure
             // function of submit order, independent of worker count.
             const std::uint64_t probeStart = spanSink_.nowUs();
-            auto hit = cache_.memLookup(job.result.key, ctx);
+            auto hit = cache_.memLookup(job.canonical, ctx);
             job.probeUs = spanSink_.nowUs() - probeStart;
             if (hit) {
                 finishCompleted(job, *hit, /*cached=*/true);
@@ -523,7 +532,7 @@ JobEngine::claimAndRunOne(int worker)
             if (flight_)
                 flight_->event(job.result.traceId,
                                spanSink_.nowUs(), "cache_miss");
-            if (auto it = inflight_.find(job.result.key);
+            if (auto it = inflight_.find(job.canonical);
                 it != inflight_.end()) {
                 job.flight = it->second; // coalesce: wait below
                 if (flight_)
@@ -533,7 +542,7 @@ JobEngine::claimAndRunOne(int worker)
             } else {
                 job.flight = std::make_shared<Flight>();
                 job.flightOwner = true;
-                inflight_[job.result.key] = job.flight;
+                inflight_[job.canonical] = job.flight;
             }
         }
         ctx.record(telem::Stage::Claim, claimStart,
@@ -620,7 +629,7 @@ JobEngine::claimAndRunOne(int worker)
     if (job.flightOwner) {
         {
             std::lock_guard<std::mutex> lock(mutex_);
-            inflight_.erase(job.result.key);
+            inflight_.erase(job.canonical);
         }
         std::lock_guard<std::mutex> flightLock(job.flight->mutex);
         job.flight->failed = failed;
@@ -828,8 +837,10 @@ JobEngine::metricsSnapshot() const
 {
     telem::MetricSample sample;
     sample.atUs = spanSink_.nowUs();
-    // The cache keeps its own lock; read it before taking ours.
+    // The cache and the run memo keep their own locks; read them
+    // before taking ours.
     const ResultCache::Stats cs = cache_.stats();
+    const apps::RunMemoStats ms = runner_.runMemoStats();
 
     std::lock_guard<std::mutex> lock(mutex_);
     auto counter = [&](std::string name, std::uint64_t value) {
@@ -849,6 +860,13 @@ JobEngine::metricsSnapshot() const
     counter("cache_torn_writes", cs.tornWrites);
     counter("cache_quarantined", cs.quarantined);
     counter("cache_tmp_swept", cs.tmpSwept);
+    counter("run_memo_hits", ms.hits);
+    counter("run_memo_misses", ms.misses);
+    counter("run_memo_evictions", ms.evictions);
+    for (int r = 0; r < apps::numMemoBypasses; ++r)
+        counter(std::string("run_memo_bypassed_") +
+                    apps::memoBypassName(static_cast<apps::MemoBypass>(r)),
+                ms.bypassed[static_cast<std::size_t>(r)]);
     for (const char *name :
          {"rejected", "shed", "retries", "retry_exhausted",
           "injected_throws", "injected_stalls", "watchdog_trips",
@@ -880,6 +898,8 @@ JobEngine::metricsSnapshot() const
         "in_flight", static_cast<double>(runningJobs_));
     sample.gauges.emplace_back("cache_degraded",
                                cs.degraded ? 1.0 : 0.0);
+    sample.gauges.emplace_back("run_memo_entries",
+                               static_cast<double>(ms.entries));
     if (slo_)
         sample.gauges.emplace_back(
             "slo_alerts_active",
@@ -950,10 +970,19 @@ JobEngine::flushRemoteCache()
 obs::Json
 JobEngine::serviceReportJson() const
 {
+    const apps::RunMemoStats ms = runner_.runMemoStats();
     std::lock_guard<std::mutex> lock(mutex_);
-    // Mirror the cache's own counters into the registry group so the
-    // report is one coherent tree.
+    // Mirror the cache's and the run memo's own counters into the
+    // registry groups so the report is one coherent tree.
     const ResultCache::Stats cs = cache_.stats();
+    memoStats_.set("hits", ms.hits);
+    memoStats_.set("misses", ms.misses);
+    memoStats_.set("evictions", ms.evictions);
+    memoStats_.set("entries", ms.entries);
+    for (int r = 0; r < apps::numMemoBypasses; ++r)
+        memoBypassStats_.set(
+            apps::memoBypassName(static_cast<apps::MemoBypass>(r)),
+            ms.bypassed[static_cast<std::size_t>(r)]);
     cacheStats_.set("mem_hits", cs.memHits);
     cacheStats_.set("disk_hits", cs.diskHits);
     cacheStats_.set("misses", cs.misses);

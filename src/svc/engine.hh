@@ -380,6 +380,9 @@ class JobEngine
     {
         int id = -1; ///< dense index into jobs_
         JobSpec spec;
+        /** spec.canonicalJson().dump(), fixed at submit: the exact
+         *  identity behind the memory cache and single-flight. */
+        std::string canonical;
         JobResult result;
         std::shared_ptr<Flight> flight; ///< set at claim time
         bool flightOwner = false;
@@ -429,7 +432,7 @@ class JobEngine
     /** Max-heap of (priority, -id): priority desc, submit order asc. */
     std::priority_queue<std::pair<int, int>> queue_;
 
-    /** cacheKey -> in-flight simulation for single-flight dedup. */
+    /** Canonical spec -> in-flight simulation (single-flight dedup). */
     std::map<std::string, std::shared_ptr<Flight>> inflight_;
 
     /** priority -> still-pending jobs (live per-band backlog). */
@@ -457,10 +460,13 @@ class JobEngine
     std::uint64_t traceSeed_ = 0;
 
     StatGroup jobStats_; ///< svc.jobs
-    /** svc.cache / svc.queue: refreshed from live state inside the
-     *  const serviceReportJson(), hence mutable. */
+    /** svc.cache / svc.queue / svc.run_memo(.bypassed): refreshed
+     *  from live state inside the const serviceReportJson(), hence
+     *  mutable. */
     mutable StatGroup cacheStats_;
     mutable StatGroup queueStats_;
+    mutable StatGroup memoStats_;
+    mutable StatGroup memoBypassStats_;
     StatGroup latencyStats_;    ///< svc.latency buckets
     StatGroup resilienceStats_; ///< svc.resilience (admission/retry)
     /** svc.remote_cache — registered only in fleet mode so

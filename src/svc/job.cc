@@ -451,13 +451,18 @@ hashBytes(const std::string &bytes)
 }
 
 std::string
-JobSpec::cacheKey() const
+cacheKeyFor(const std::string &canonical)
 {
     char buf[17];
     std::snprintf(buf, sizeof buf, "%016llx",
-                  static_cast<unsigned long long>(
-                      hashBytes(canonicalJson().dump())));
+                  static_cast<unsigned long long>(hashBytes(canonical)));
     return buf;
+}
+
+std::string
+JobSpec::cacheKey() const
+{
+    return cacheKeyFor(canonicalJson().dump());
 }
 
 } // namespace stitch::svc

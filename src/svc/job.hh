@@ -136,6 +136,10 @@ struct JobSpec
  *  content address and exposed for tests. */
 std::uint64_t hashBytes(const std::string &bytes);
 
+/** The 16-hex-digit cache key of a canonical form's bytes
+ *  (JobSpec::cacheKey() without re-serializing). */
+std::string cacheKeyFor(const std::string &canonical);
+
 } // namespace stitch::svc
 
 #endif // STITCH_SVC_JOB_HH

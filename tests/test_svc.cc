@@ -4,7 +4,8 @@
  * canonical form, cache key), the content-addressed ResultCache
  * (LRU, disk persistence, stamp and spec-echo invalidation), the
  * JobEngine (priority order, dedup, typed failures, cancellation,
- * worker-count invariance, admission control) and the stitchd wire
+ * worker-count invariance, admission control, the run memo's
+ * per-machine dedup and its metrics) and the stitchd wire
  * protocol (in-process localhost round-trip plus adversarial
  * framing: oversize prefixes, mid-frame disconnects, garbage bytes,
  * stalled clients — every violation must answer typed, never crash
@@ -18,6 +19,7 @@
 #include <filesystem>
 #include <functional>
 #include <fstream>
+#include <set>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <thread>
@@ -279,6 +281,29 @@ TEST(ResultCache, MemoryLayerRoundTripsAndTracksLru)
     EXPECT_EQ(stats.stores, 2u);
 }
 
+TEST(ResultCache, MemoryLayerIsKeyedByTheCanonicalForm)
+{
+    ResultCache cache; // memory only
+    JobSpec spec = cheapSpec();
+    cache.store(spec, dummyEntry("stored"));
+
+    // A field outside the identity still hits...
+    JobSpec urgent = spec;
+    urgent.priority = 7;
+    auto hit = cache.lookup(urgent);
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->report.get("tag").asString(), "stored");
+
+    // ...one inside it misses.
+    JobSpec longer = spec;
+    longer.samplesLong = 3;
+    EXPECT_FALSE(cache.lookup(longer).has_value());
+
+    // The index is the canonical form itself, not its 64-bit hash.
+    EXPECT_TRUE(cache.memLookup(spec.canonicalJson().dump()));
+    EXPECT_FALSE(cache.memLookup(spec.cacheKey()));
+}
+
 TEST(ResultCache, DiskLayerPersistsAcrossInstances)
 {
     const std::string dir = scratchDir("disk");
@@ -518,6 +543,114 @@ TEST(JobEngine, JobsDifferingOnlyInSchedulerShareOneSimulation)
         report.get("counters").get("svc").get("jobs");
     EXPECT_EQ(jobs.get("simulated").asUint(), 1u);
     EXPECT_EQ(jobs.get("cache_hits").asUint(), 2u);
+}
+
+/** Counter `name` of a metrics snapshot (0 when absent). */
+std::uint64_t
+snapshotCounter(const telem::MetricSample &sample, const std::string &name)
+{
+    for (const auto &[key, value] : sample.counters)
+        if (key == name)
+            return value;
+    return 0;
+}
+
+/** What distinguishes one prepared machine, independent of
+ *  MachineDesc::key: the accelerator fabric and the stitch plan. */
+std::string
+planIdentity(const apps::PreparedRun &prep, apps::AppMode mode)
+{
+    if (!prep.hasPlan)
+        return apps::appModeName(mode);
+    std::string id = "stitch";
+    for (const auto &p : prep.plan.placements)
+        id += detail::formatMessage(
+            "|", p.tile, ":", p.accel ? p.accel->name() : "sw", ">",
+            p.remoteTile);
+    for (const auto &path : prep.plan.snoc.paths()) {
+        id += "|path";
+        for (TileId t : path.tiles)
+            id += detail::formatMessage(",", t);
+    }
+    return id;
+}
+
+TEST(JobEngine, WindowSweepSimulatesEachDistinctMachineOnce)
+{
+    // Overlapping windows (one window's long run is another's short
+    // run) and policies that stitch the same plan: the memo must end
+    // up with exactly one entry per distinct (plan, samples) pair.
+    const std::pair<int, int> windows[] = {{1, 2}, {1, 3}, {2, 3}};
+    const std::pair<apps::AppMode, compiler::StitchPolicy> configs[] = {
+        {apps::AppMode::Baseline, compiler::StitchPolicy::Auto},
+        {apps::AppMode::Locus, compiler::StitchPolicy::Auto},
+        {apps::AppMode::StitchNoFusion, compiler::StitchPolicy::Auto},
+        {apps::AppMode::StitchNoFusion, compiler::StitchPolicy::Greedy},
+        {apps::AppMode::StitchNoFusion,
+         compiler::StitchPolicy::SinglesOnly},
+        {apps::AppMode::Stitch, compiler::StitchPolicy::Auto},
+        {apps::AppMode::Stitch, compiler::StitchPolicy::Greedy},
+        {apps::AppMode::Stitch, compiler::StitchPolicy::SinglesOnly},
+    };
+
+    EngineOptions options;
+    options.jobs = 1;
+    JobEngine engine(options);
+    apps::AppRunner planner;
+    std::set<std::pair<std::string, int>> distinct;
+    int jobs = 0;
+    for (const auto &[mode, policy] : configs) {
+        JobSpec spec = cheapSpec(mode);
+        spec.policy = policy;
+        const apps::RunConfig config = spec.runConfig();
+        const std::string plan =
+            planIdentity(planner.prepare(spec.resolveApp(), mode, config),
+                         mode);
+        for (const auto &[ss, sl] : windows) {
+            spec.samplesShort = ss;
+            spec.samplesLong = sl;
+            engine.submit(spec);
+            ++jobs;
+            distinct.insert({plan, ss});
+            distinct.insert({plan, sl});
+        }
+    }
+    // A budgeted job simulates around the memo and says why.
+    JobSpec budgeted = cheapSpec();
+    budgeted.maxInstructions = 500;
+    engine.submit(budgeted);
+    engine.run();
+
+    const telem::MetricSample sample = engine.metricsSnapshot();
+    double entries = -1;
+    for (const auto &[name, value] : sample.gauges)
+        if (name == "run_memo_entries")
+            entries = value;
+    EXPECT_EQ(entries, static_cast<double>(distinct.size()));
+    EXPECT_LT(distinct.size(), static_cast<std::size_t>(2 * jobs));
+    EXPECT_EQ(snapshotCounter(sample, "run_memo_misses"), distinct.size());
+    EXPECT_EQ(snapshotCounter(sample, "run_memo_hits") +
+                  snapshotCounter(sample, "run_memo_misses"),
+              static_cast<std::uint64_t>(2 * jobs));
+    EXPECT_EQ(snapshotCounter(sample, "run_memo_evictions"), 0u);
+    EXPECT_EQ(snapshotCounter(sample, "run_memo_bypassed_budget"), 2u);
+
+    // The same numbers reach the service report and the scrape.
+    const obs::Json memo = engine.serviceReportJson()
+                               .get("counters")
+                               .get("svc")
+                               .get("run_memo");
+    EXPECT_EQ(memo.get("entries").asUint(), distinct.size());
+    EXPECT_EQ(memo.get("hits").asUint(),
+              snapshotCounter(sample, "run_memo_hits"));
+    EXPECT_EQ(memo.get("bypassed").get("budget").asUint(), 2u);
+    const std::string scrape = engine.expositionText();
+    EXPECT_NE(scrape.find(detail::formatMessage(
+                  "stitch_run_memo_misses_total ", distinct.size(), "\n")),
+              std::string::npos);
+    EXPECT_NE(scrape.find("stitch_run_memo_entries "), std::string::npos);
+    EXPECT_NE(scrape.find("stitch_run_memo_bypassed_budget_total 2\n"),
+              std::string::npos);
 }
 
 TEST(JobEngine, TypedFailureDoesNotSinkTheBatch)
