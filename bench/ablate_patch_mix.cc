@@ -63,7 +63,6 @@ main(int argc, char **argv)
     // RunConfig. Rows come back in mix order, so the table and the
     // recorded metrics are byte-identical for any --jobs value.
     apps::AppRunner runner(4, 12);
-    runner.setScheduler(bench::schedulerFlag());
     struct MixRow
     {
         std::vector<std::string> cells;
@@ -73,7 +72,7 @@ main(int argc, char **argv)
     auto rows = sweep.map(
         static_cast<int>(std::size(mixes)), [&](int i) {
             const Mix &mix = mixes[static_cast<std::size_t>(i)];
-            apps::RunConfig cfg = runner.config();
+            apps::RunConfig cfg = bench::runConfig();
             cfg.arch = mix.arch;
             MixRow row;
             row.cells = {mix.name};

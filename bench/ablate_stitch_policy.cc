@@ -51,7 +51,7 @@ main(int argc, char **argv)
             svc::JobSpec base;
             base.app = app.name;
             base.mode = apps::AppMode::Baseline;
-            base.scheduler = bench::schedulerFlag();
+            base.scheduler = bench::runConfig().scheduler;
 
             svc::JobSpec full = base;
             full.mode = apps::AppMode::Stitch;

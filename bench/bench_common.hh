@@ -97,15 +97,6 @@ writeBenchJson()
     obs::writeJsonFile(benchJsonPath(), doc);
 }
 
-/** The shared --json/--jobs/--scheduler/--out flags (common/cli.hh);
- *  initObs() feeds every argv entry through them first. */
-inline cli::CommonFlags &
-commonFlags()
-{
-    static cli::CommonFlags flags;
-    return flags;
-}
-
 /** Consume a --json=PATH argument; true iff it was one. */
 inline bool
 parseJsonFlag(const char *arg)
@@ -127,18 +118,17 @@ jobsFlag()
 }
 
 /**
- * System scheduler selected on the command line (--scheduler=step|
- * slice|compiled; default compiled, the translation-cached path).
- * All three are bit-identical: step is the reference oracle — the
- * escape hatch for debugging the event-driven path, and one side of
- * the sched_parity_is_exact differential test — and slice is the
- * interpreter the compiled path deoptimizes to.
+ * The RunConfig of this invocation's app runs. Its scheduler comes
+ * from the command line (--scheduler=step|compiled; default compiled,
+ * the translation-cached path). Both are bit-identical: step is the
+ * parity oracle — the escape hatch for debugging the default path,
+ * and one side of the sched_parity_is_exact differential test.
  */
-inline sim::SchedulerKind &
-schedulerFlag()
+inline apps::RunConfig &
+runConfig()
 {
-    static sim::SchedulerKind kind = sim::SchedulerKind::Compiled;
-    return kind;
+    static apps::RunConfig config;
+    return config;
 }
 
 /** Write the --report/--stats artifacts describing app run `res`. */
@@ -167,8 +157,9 @@ writeObsArtifacts(const apps::AppRunResult &res)
 /**
  * First call of every bench main(): pick up the observability
  * switches (--trace/--report/--stats/--profile/--speedscope/
- * --verbose) plus the metrics sink (--json=PATH; other args are
- * ignored) and apply them. inform() is silent unless --verbose, so
+ * --verbose), the metrics sink (--json=PATH), --jobs=N and
+ * --scheduler=NAME (an unknown name exits 2; other args are left to
+ * the bench) and apply them. inform() is silent unless --verbose, so
  * benches no longer hand-disable status output. The report/stats/
  * profile files describe the last application run the bench
  * performed; the --json document carries every recordMetric() call.
@@ -184,15 +175,21 @@ initObs(int argc, char **argv)
                           : path.substr(slash + 1);
     }
     for (int i = 1; i < argc; ++i) {
-        if (commonFlags().parse(argv[i]))
-            continue;
-        obsFlags().parse(argv[i]);
+        std::string value;
+        if (cli::keyedValue(argv[i], "--jobs=", &value)) {
+            jobsFlag() = cli::resolveJobs(std::atoi(value.c_str()));
+        } else if (cli::keyedValue(argv[i], "--scheduler=", &value)) {
+            try {
+                runConfig().scheduler = sim::schedulerKindFromName(value);
+            } catch (const fault::ConfigError &err) {
+                std::fprintf(stderr, "%s: %s\n", benchName().c_str(),
+                             err.what());
+                std::exit(2);
+            }
+        } else if (!parseJsonFlag(argv[i])) {
+            obsFlags().parse(argv[i]);
+        }
     }
-    benchJsonPath() = commonFlags().jsonPath;
-    jobsFlag() = cli::resolveJobs(commonFlags().jobs);
-    if (!commonFlags().scheduler.empty())
-        schedulerFlag() =
-            sim::schedulerKindFromName(commonFlags().scheduler);
     obsFlags().begin();
     // Touch every static the exit handler reads *before* registering
     // it: function-local statics constructed after std::atexit are
@@ -242,9 +239,6 @@ inline apps::AppRunner &
 appRunner()
 {
     static apps::AppRunner runner(4, 12);
-    // The flag may be parsed after the first use constructs the
-    // static; re-applying it per access keeps them in sync cheaply.
-    runner.setScheduler(schedulerFlag());
     return runner;
 }
 
@@ -257,7 +251,8 @@ appResult(const apps::AppSpec &app, apps::AppMode mode)
         app.name + "/" + apps::appModeName(mode);
     auto it = cache.find(key);
     if (it == cache.end()) {
-        it = cache.emplace(key, appRunner().run(app, mode)).first;
+        it = cache.emplace(key, appRunner().run(app, mode, runConfig()))
+                 .first;
         writeObsArtifacts(it->second);
     }
     return it->second;

@@ -26,7 +26,7 @@
  * Failed job with errorKind "config" — the "rejected" cell.
  *
  * Usage: fault_campaign [--app=APP3] [--out=DIR] [--jobs=N]
- * [--scheduler=step|slice|compiled] [obs switches]
+ * [--scheduler=step|compiled] [obs switches]
  * With --out=DIR a run report embedding the degraded stitch plan is
  * written per scenario. Scenarios are independent, so --jobs=N
  * drains them over the engine's worker pool; jobs finish in submit
@@ -91,13 +91,10 @@ main(int argc, char **argv)
 {
     bench::initObs(argc, argv);
 
-    const std::string &outDir = bench::commonFlags().out;
-    std::string appName = "APP3";
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg.rfind("--app=", 0) == 0)
-            appName = arg.substr(6);
-    }
+    std::string outDir, appName = "APP3";
+    for (int i = 1; i < argc; ++i)
+        if (!cli::keyedValue(argv[i], "--app=", &appName))
+            cli::keyedValue(argv[i], "--out=", &outDir);
 
     const apps::AppSpec *app = nullptr;
     static const auto all = apps::allApps();
@@ -122,7 +119,7 @@ main(int argc, char **argv)
     svc::JobSpec base;
     base.app = app->name;
     base.mode = apps::AppMode::Stitch;
-    base.scheduler = bench::schedulerFlag();
+    base.scheduler = bench::runConfig().scheduler;
 
     // The reference: all patches and links healthy. Run it alone
     // first so its compilation pass warms the shared kernel cache

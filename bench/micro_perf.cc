@@ -160,20 +160,20 @@ BM_SnocFusionRouting(benchmark::State &state)
 BENCHMARK(BM_SnocFusionRouting)->Unit(benchmark::kMicrosecond);
 
 /**
- * Sixteen-tile application simulation (APP3, baseline mode): the
- * machine is prepared once outside the timed loop, and each iteration
- * runs the simulate step for the short and the long run — never the
- * run memo, which would turn every iteration after the first into a
- * lookup. Counts the long runs' instructions, as AppRunner::run's
- * throughput measurement would.
+ * Sixteen-tile application simulation (APP3, baseline mode) under the
+ * compiled scheduler, the default path: the machine is prepared once
+ * outside the timed loop, and each iteration runs the simulate step
+ * for the short and the long run — never the run memo, which would
+ * turn every iteration after the first into a lookup. Counts the long
+ * runs' instructions, as AppRunner::run's throughput measurement
+ * would. Its "mips_compiled" counter is the headline
+ * simulator-throughput number the bench trajectory tracks.
  */
 void
-simulateApp3(benchmark::State &state, sim::SchedulerKind scheduler,
-             const char *counter)
+BM_SystemSimulationCompiled(benchmark::State &state)
 {
     apps::AppRunner runner(2, 4);
-    runner.setScheduler(scheduler);
-    const apps::RunConfig config = runner.config();
+    const apps::RunConfig config;
     const apps::PreparedRun prep = runner.prepare(
         apps::app3SvmEncrypt(), apps::AppMode::Baseline, config);
     std::uint64_t instructions = 0;
@@ -184,34 +184,9 @@ simulateApp3(benchmark::State &state, sim::SchedulerKind scheduler,
         benchmark::DoNotOptimize(shortRun.makespan);
         benchmark::DoNotOptimize(longRun.makespan);
     }
-    state.counters[counter] = benchmark::Counter(
+    state.counters["mips_compiled"] = benchmark::Counter(
         static_cast<double>(instructions) * 1e-6,
         benchmark::Counter::kIsRate);
-}
-
-/**
- * The slice interpreter, pinned regardless of --scheduler so the
- * bench trajectory's "mips" (millions of simulated instructions per
- * host second) stays the interpreter half of the mips/mips_compiled
- * pair.
- */
-void
-BM_SystemSimulation(benchmark::State &state)
-{
-    simulateApp3(state, sim::SchedulerKind::Slice, "mips");
-}
-BENCHMARK(BM_SystemSimulation)->Unit(benchmark::kMillisecond);
-
-/**
- * The same simulation under the compiled scheduler, the default path.
- * Its "mips_compiled" counter is the headline simulator-throughput
- * number: the trajectory tracks it next to BM_SystemSimulation/mips,
- * and the two runs are byte-identical by the parity tests.
- */
-void
-BM_SystemSimulationCompiled(benchmark::State &state)
-{
-    simulateApp3(state, sim::SchedulerKind::Compiled, "mips_compiled");
 }
 BENCHMARK(BM_SystemSimulationCompiled)->Unit(benchmark::kMillisecond);
 

@@ -62,14 +62,14 @@ main()
     // ---- 3. Application throughput under both floorplans.
     std::printf("\n%-16s %10s %10s\n", "app", "paper 8/4/4",
                 "custom");
+    apps::AppRunner runner(4, 12);
+    apps::RunConfig customConfig;
+    customConfig.arch = custom;
     for (const auto &app : apps::allApps()) {
-        apps::AppRunner paperRunner(4, 12);
-        auto pBase = paperRunner.run(app, apps::AppMode::Baseline);
-        auto pFull = paperRunner.run(app, apps::AppMode::Stitch);
-
-        apps::AppRunner customRunner(4, 12);
-        customRunner.setArch(custom);
-        auto cFull = customRunner.run(app, apps::AppMode::Stitch);
+        auto pBase = runner.run(app, apps::AppMode::Baseline);
+        auto pFull = runner.run(app, apps::AppMode::Stitch);
+        auto cFull =
+            runner.run(app, apps::AppMode::Stitch, customConfig);
 
         std::printf("%-16s %9.2fx %9.2fx\n", app.name.c_str(),
                     pBase.perSampleCycles() /

@@ -25,7 +25,6 @@ memoBypassName(MemoBypass reason)
 {
     switch (reason) {
       case MemoBypass::Step: return "step";
-      case MemoBypass::Slice: return "slice";
       case MemoBypass::Budget: return "budget";
       case MemoBypass::Fault: return "fault";
       case MemoBypass::Unhealthy: return "unhealthy";
@@ -149,22 +148,10 @@ AppRunner::compiledFor(const std::string &kernel,
     return kernelFor(kernel, shape).compiled;
 }
 
-RunConfig
-AppRunner::config() const
-{
-    RunConfig cfg;
-    cfg.arch = arch_;
-    cfg.policy = policy_;
-    cfg.health = health_;
-    cfg.faults = faults_;
-    cfg.scheduler = scheduler_;
-    return cfg;
-}
-
 AppRunResult
 AppRunner::run(const AppSpec &app, AppMode mode)
 {
-    return run(app, mode, config());
+    return run(app, mode, RunConfig{});
 }
 
 PreparedRun
@@ -314,8 +301,6 @@ AppRunner::simulate(const MachineDesc &machine, int nSamples,
     std::optional<MemoBypass> bypass;
     if (config.scheduler == sim::SchedulerKind::Step)
         bypass = MemoBypass::Step;
-    else if (config.scheduler == sim::SchedulerKind::Slice)
-        bypass = MemoBypass::Slice;
     else if (config.maxInstructions != 0)
         bypass = MemoBypass::Budget;
     else if (config.faults.anyFault())

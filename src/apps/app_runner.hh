@@ -95,9 +95,10 @@ struct AppRunResult
 /**
  * Everything that varies between runs of the same runner: the
  * ablation knobs (arch, policy), the fault scenario (health, faults)
- * and the simulator scheduler. Sweep workers build one per task and
- * pass it to the three-argument run() so concurrent scenarios never
- * race on runner state.
+ * and the simulator scheduler. It is the runner's one configuration
+ * channel: callers build one per run and pass it to the
+ * three-argument run(), so concurrent scenarios never race on runner
+ * state.
  */
 struct RunConfig
 {
@@ -216,7 +217,6 @@ sim::RunStats simulateMachine(const MachineDesc &machine, int nSamples,
 enum class MemoBypass
 {
     Step,       ///< the step oracle was asked for explicitly
-    Slice,      ///< the slice interpreter was asked for explicitly
     Budget,     ///< a finite instruction budget
     Fault,      ///< an armed fault plan
     Unhealthy,  ///< stitched around an unhealthy arch
@@ -225,7 +225,7 @@ enum class MemoBypass
     DumpTraces, ///< RunConfig::dumpTraces
 };
 
-inline constexpr int numMemoBypasses = 8;
+inline constexpr int numMemoBypasses = 7;
 
 /** Metric-friendly reason name ("step", "dump_traces", ...). */
 const char *memoBypassName(MemoBypass reason);
@@ -248,7 +248,7 @@ class AppRunner
      *  `samplesLong` pipeline samples. */
     explicit AppRunner(int samplesShort = 4, int samplesLong = 12);
 
-    /** Run `app` under `mode` with the setter-configured state. */
+    /** Run `app` under `mode` with the default RunConfig{}. */
     AppRunResult run(const AppSpec &app, AppMode mode);
 
     /**
@@ -284,40 +284,10 @@ class AppRunner
 
     RunMemoStats runMemoStats() const;
 
-    /** Snapshot of the setter-configured state as a RunConfig. */
-    RunConfig config() const;
-
     /** Compiled kernel for a stage shape (cached, thread-safe). */
     const compiler::CompiledKernel &
     compiledFor(const std::string &kernel,
                 const kernels::PipelineShape &shape);
-
-    /** Override the patch placement (ablation studies). */
-    void setArch(const core::StitchArch &arch) { arch_ = arch; }
-
-    /** Override the stitching policy (ablation studies). */
-    void
-    setPolicy(compiler::StitchPolicy policy)
-    {
-        policy_ = policy;
-    }
-
-    /**
-     * Stitch around known-bad hardware: the stitcher skips dead
-     * patches and routes fusions away from failed links. The default
-     * all-healthy mask reproduces the unconstrained plan exactly.
-     */
-    void setHealth(const fault::ArchHealth &health) { health_ = health; }
-
-    /** Inject run-time faults (forwarded to SystemParams::faults). */
-    void setFaultPlan(const fault::FaultPlan &plan) { faults_ = plan; }
-
-    /** Select the simulator scheduler (SystemParams::scheduler). */
-    void
-    setScheduler(sim::SchedulerKind kind)
-    {
-        scheduler_ = kind;
-    }
 
   private:
     /** One kernel-cache entry; its software binary is built once so
@@ -343,11 +313,6 @@ class AppRunner
 
     int samplesShort_;
     int samplesLong_;
-    core::StitchArch arch_ = core::StitchArch::standard();
-    compiler::StitchPolicy policy_ = compiler::StitchPolicy::Auto;
-    fault::ArchHealth health_ = fault::ArchHealth::healthy();
-    fault::FaultPlan faults_;
-    sim::SchedulerKind scheduler_ = sim::SchedulerKind::Compiled;
     std::mutex cacheMutex_; ///< guards cache_ across sweep workers
     std::map<std::string, std::unique_ptr<KernelEntry>> cache_;
 

@@ -1,6 +1,5 @@
 #include "common/cli.hh"
 
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 
@@ -24,22 +23,6 @@ resolveJobs(int requested)
         requested =
             static_cast<int>(std::thread::hardware_concurrency());
     return requested < 1 ? 1 : requested;
-}
-
-bool
-CommonFlags::parse(const char *arg)
-{
-    if (keyedValue(arg, "--json=", &jsonPath))
-        return true;
-    if (keyedValue(arg, "--out=", &out))
-        return true;
-    if (keyedValue(arg, "--scheduler=", &scheduler))
-        return true;
-    if (std::string value; keyedValue(arg, "--jobs=", &value)) {
-        jobs = resolveJobs(std::atoi(value.c_str()));
-        return true;
-    }
-    return false;
 }
 
 } // namespace stitch::cli

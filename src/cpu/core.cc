@@ -396,25 +396,12 @@ Core::execute(const Instr &in)
 
 StepResult
 Core::runSlice(std::uint64_t budget, std::uint64_t &executed,
-               Cycles horizonTime, TileId horizonTile, bool relaxed)
+               Cycles horizonTime, TileId horizonTile)
 {
     STITCH_ASSERT(!halted_, "slice dispatched to a halted core");
     while (true) {
         std::int32_t idx = instrIndexAt(pc_);
         const Instr &in = prog_.code()[static_cast<std::size_t>(idx)];
-
-        if (relaxed &&
-            (in.op == Opcode::Send || in.op == Opcode::Recv ||
-             in.op == Opcode::Cust) &&
-            (time_ > horizonTime ||
-             (time_ == horizonTime && id_ > horizonTile)))
-            // A globally visible operation while another tile holds
-            // the smaller key: yield unexecuted. The comm op runs on
-            // a later slice, once this core is the global minimum
-            // again — at the same local time, so in the same global
-            // order as under the step scheduler.
-            return StepResult::Ok;
-
         StepResult result = execute(in);
         ++executed; // every attempt consumes budget, blocked included
         if (result == StepResult::Ok ||
@@ -429,9 +416,8 @@ Core::runSlice(std::uint64_t budget, std::uint64_t &executed,
             return result; // wake-ups may change the run queue
         if (executed >= budget)
             return result; // instruction budget exhausted
-        if (!relaxed &&
-            (time_ > horizonTime ||
-             (time_ == horizonTime && id_ > horizonTile)))
+        if (time_ > horizonTime ||
+            (time_ == horizonTime && id_ > horizonTile))
             return result; // another tile is now the global minimum
     }
 }

@@ -113,7 +113,7 @@ class Core
     StepResult step();
 
     /**
-     * Run-ahead slice for the event-driven scheduler (sim/sched.hh):
+     * Exact slice for the event-driven run loop (sim/sched.hh):
      * execute instructions back-to-back without returning to the
      * scheduler, stopping at the first boundary where another tile
      * could (or must) run instead:
@@ -122,24 +122,15 @@ class Core
      *    deliver (a woken receiver may be the new global minimum);
      *  - the core blocked in RECV or halted;
      *  - `executed` reached `budget` (the run's instruction limit);
-     *  - the slice reached the horizon — the (time, id) key of the
-     *    next runnable tile, past which this core is no longer the
-     *    global minimum.
+     *  - the local clock passed the horizon — the (time, id) key of
+     *    the next runnable tile, past which this core is no longer
+     *    the global minimum.
      *
-     * The horizon's meaning depends on `relaxed` (the scheduler
-     * picks per run; see sim::SchedulerKind):
-     *
-     *  - relaxed = false (reference-exact): the slice ends as soon
-     *    as the local clock passes the horizon, reproducing the step
-     *    scheduler's total instruction interleaving exactly.
-     *  - relaxed = true: tile-private work (ALU, control flow,
-     *    private-memory traffic) runs ahead past the horizon freely —
-     *    it is invisible to every other tile — and only a SEND, RECV
-     *    or CUST yields, unexecuted, until the core again holds the
-     *    globally minimal key. Globally visible events therefore
-     *    execute in exactly the step scheduler's order, at the same
-     *    local times, so final stats and reports are bit-identical;
-     *    only the interleaving of private work in host time differs.
+     * Ending at the horizon reproduces the step oracle's total
+     * instruction interleaving exactly. This is the regime the
+     * compiled scheduler falls back to whenever something observes
+     * that order: cycle tracing, an active fault injector, or a
+     * meaningful instruction budget (see sim::SchedulerKind).
      *
      * `executed` is incremented per attempt (blocked RECV attempts
      * included, matching System::run's per-step budget accounting)
@@ -152,28 +143,30 @@ class Core
      * `horizonTime = ~Cycles{0}` when no other tile is runnable.
      */
     StepResult runSlice(std::uint64_t budget, std::uint64_t &executed,
-                        Cycles horizonTime, TileId horizonTile,
-                        bool relaxed);
+                        Cycles horizonTime, TileId horizonTile);
 
     /**
-     * Compiled-backend slice (sim's third scheduler; core_jit.cc):
-     * dispatch predecoded micro-op traces from the per-program
-     * translation cache instead of per-instruction fetch→switch,
-     * translating lazily on first entry. The same boundaries as
-     * runSlice apply — a retired SEND, block, halt, or the budget —
-     * and the run-ahead discipline is the relaxed one: tile-private
-     * traces run past the horizon freely, while SEND/RECV execute as
-     * single interpreter-oracle steps only while this core holds the
-     * globally minimal (time, id) key, and yield unexecuted
-     * otherwise. Every counter, stall cycle and register effect is
-     * byte-identical to the interpreter's, including partial trace
-     * executions cut short by a thrown fault (see DESIGN.md §15).
+     * Relaxed compiled slice (the default scheduler's fast path;
+     * core_jit.cc): dispatch predecoded micro-op traces from the
+     * per-program translation cache instead of per-instruction
+     * fetch→switch, translating lazily on first entry. The same
+     * boundaries as runSlice apply — a retired SEND, block, halt, or
+     * the budget — but the horizon is relaxed: tile-private traces
+     * (ALU, control flow, private-memory traffic) run past it freely,
+     * as they are invisible to every other tile, while SEND/RECV
+     * execute as single interpreter-oracle steps only while this core
+     * holds the globally minimal (time, id) key, and yield unexecuted
+     * otherwise. Globally visible events therefore execute in exactly
+     * the step oracle's order, at the same local times. Every
+     * counter, stall cycle and register effect is byte-identical to
+     * the interpreter's, including partial trace executions cut short
+     * by a thrown fault (see DESIGN.md §15).
      *
-     * Precondition (System::runQueueLoop enforces by deoptimizing
-     * the whole run to runSlice): tracer, sampler and
-     * fault injector off, and `budget` is the runaway backstop, not a
-     * meaningful cutoff — mid-trace budget overshoot falls back to
-     * single oracle steps so the final attempt still matches.
+     * Precondition (System::runQueueLoop enforces by falling back to
+     * runSlice for the whole run): tracer, sampler and fault injector
+     * off, and `budget` is the runaway backstop, not a meaningful
+     * cutoff — mid-trace budget overshoot falls back to single oracle
+     * steps so the final attempt still matches.
      */
     StepResult runCompiled(std::uint64_t budget,
                            std::uint64_t &executed, Cycles horizonTime,

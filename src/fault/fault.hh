@@ -101,11 +101,12 @@ class DeadlineExceededError : public SimError
 /**
  * The simulated software itself crashed: a taken branch left the code
  * image, or the PC landed past the end / inside a two-word CUST. The
- * run loops always convert this into Termination::Fault — with or
+ * run loop always converts this into Termination::Fault — with or
  * without an armed injector — so a wild branch is a reported run
  * outcome with partial stats, never a simulator abort. Identical
- * messages are raised by the step, slice and compiled regimes (the
- * crashing tile's state at the throw is deterministic in all three).
+ * messages are raised by single-step, exact-slice and compiled
+ * dispatch (the crashing tile's state at the throw is deterministic
+ * in all three).
  */
 class ExecutionFaultError : public SimError
 {

@@ -32,8 +32,8 @@ inline constexpr const char *runReportSchema = "stitch-run-report";
  * harnesses attach under --profile. v4 adds "hot_blocks" — the top
  * static basic blocks by dynamically retired instructions (omitted
  * when empty) — derived from execution counts every scheduler fills
- * identically, so the section is byte-identical across
- * step/slice/compiled runs.
+ * identically, so the section is byte-identical across step and
+ * compiled runs.
  */
 inline constexpr int runReportVersion = 4;
 

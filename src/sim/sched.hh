@@ -7,8 +7,9 @@
  * smallest local time next, ties broken towards the smallest tile id —
  * exactly the element a linear scan with a strict `<` comparison would
  * find. Encoding the tie-break in the heap key makes the heap's pop
- * order bit-identical to the scan's pick order, which is what lets the
- * slice scheduler promise byte-equal run reports (see DESIGN.md §10).
+ * order bit-identical to the scan's pick order, which is what lets
+ * both schedulers share this queue and promise byte-equal run reports
+ * (see DESIGN.md §10).
  * The (time, id) key is a total order — tile ids are unique — so the
  * extraction sequence does not depend on the heap's internal layout,
  * and the cheap updateTop() path is observably identical to pop+push.
@@ -93,7 +94,7 @@ class RunQueue
     /**
      * The entry that becomes top() if top()'s time grows: the smaller
      * of the root's children. Meaningful only while size() > 1; it is
-     * the slice scheduler's run-ahead horizon.
+     * the run-ahead horizon of a slice.
      */
     Entry
     second() const

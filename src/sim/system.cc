@@ -61,7 +61,6 @@ schedulerKindName(SchedulerKind kind)
 {
     switch (kind) {
       case SchedulerKind::Step: return "step";
-      case SchedulerKind::Slice: return "slice";
       case SchedulerKind::Compiled: return "compiled";
     }
     STITCH_PANIC("bad SchedulerKind");
@@ -72,13 +71,11 @@ schedulerKindFromName(const std::string &name)
 {
     if (name == "step")
         return SchedulerKind::Step;
-    if (name == "slice")
-        return SchedulerKind::Slice;
     if (name == "compiled")
         return SchedulerKind::Compiled;
     throw fault::ConfigError(detail::formatMessage(
         "unknown scheduler '", name,
-        "' (expected step, slice or compiled)"));
+        "' (expected step|compiled)"));
 }
 
 namespace
@@ -481,122 +478,6 @@ System::noteDeadlock(RunStats &stats)
 }
 
 void
-System::runStepLoop(RunStats &stats, std::uint64_t maxInstructions)
-{
-    std::uint64_t executed = 0;
-    const bool sampling = obs::Sampler::enabled();
-    TileId running = -1;
-
-    auto loop = [&] {
-        while (true) {
-            // Pick the runnable (loaded, not halted, not blocked)
-            // core with the smallest local time.
-            TileId pick = -1;
-            for (TileId t = 0; t < numTiles; ++t) {
-                Tile &tile = tiles_[static_cast<std::size_t>(t)];
-                if (!tile.loaded || tile.core->halted() ||
-                    tile.blocked)
-                    continue;
-                if (pick < 0 ||
-                    tile.core->time() <
-                        tiles_[static_cast<std::size_t>(pick)]
-                            .core->time())
-                    pick = t;
-            }
-
-            if (pick < 0) {
-                noteDeadlock(stats);
-                return;
-            }
-
-            if (executed >= maxInstructions) {
-                // The step budget ran out with work remaining:
-                // report a bounded, non-fatal termination (exactly
-                // maxInstructions steps were attempted).
-                stats.termination =
-                    fault::Termination::InstructionLimit;
-                return;
-            }
-
-            // Cooperative wall-clock cancellation: polled at a
-            // coarse stride so the deterministic fast path pays one
-            // predictable branch per step and no atomic traffic.
-            if (params_.abortFlag && (executed & 0xfff) == 0 &&
-                params_.abortFlag->load(std::memory_order_relaxed))
-                throw fault::DeadlineExceededError(
-                    detail::formatMessage(
-                        "run aborted by deadline watchdog after ",
-                        executed, " instructions"));
-
-            Tile &tile = tiles_[static_cast<std::size_t>(pick)];
-            running = pick;
-            cpu::StepResult result = tile.core->step();
-            ++executed;
-            if (sampling)
-                sampleStep(pick);
-
-            if (result == cpu::StepResult::Blocked)
-                tile.blocked = true;
-            // Wake exactly the receivers whose pending RECV matches
-            // a message injected this step; everyone else would
-            // re-poll, fail, and re-block. Steps without a SEND
-            // leave sentThisStep_ empty and skip the pass entirely.
-            if (!sentThisStep_.empty()) {
-                for (const auto &msg : sentThisStep_) {
-                    Tile &rx =
-                        tiles_[static_cast<std::size_t>(msg.dst)];
-                    if (!rx.blocked)
-                        continue;
-                    const auto &pending = rx.core->pendingRecv();
-                    if (pending && pending->src == msg.src &&
-                        pending->tag == msg.tag)
-                        rx.blocked = false;
-                }
-                sentThisStep_.clear();
-            }
-        }
-    };
-
-    // Injected faults surface as exceptions mid-step and become a
-    // Termination::Fault outcome; without an injector, only the typed
-    // execution faults (wild branch, runaway PC) are run outcomes —
-    // anything else indicates real misuse and must propagate.
-    if (!injector_.active()) {
-        try {
-            loop();
-        } catch (const fault::ExecutionFaultError &err) {
-            stats.termination = fault::Termination::Fault;
-            stats.faultMessage = detail::formatMessage(
-                "tile ", running, " crashed: ", err.what());
-            warn(stats.faultMessage);
-        }
-        return;
-    }
-    try {
-        loop();
-    } catch (const fault::PatchFaultError &err) {
-        stats.termination = fault::Termination::Fault;
-        stats.patchFault = err.fault();
-        stats.faultMessage = err.what();
-        warn(err.what());
-    } catch (const fault::DeadlineExceededError &) {
-        // A watchdog abort is a service-tier outcome, not a hardware
-        // fault of this run: let the engine type it as "deadline".
-        throw;
-    } catch (const FatalError &err) {
-        // A core tripped over state an injected fault corrupted
-        // (e.g. a flipped CUST output used as an address). With
-        // injection active that is a run outcome, not simulator
-        // misuse. ExecutionFaultError lands here too, with the same
-        // message as the no-injector frame above.
-        stats.termination = fault::Termination::Fault;
-        stats.faultMessage = detail::formatMessage(
-            "tile ", running, " crashed: ", err.what());
-        warn(stats.faultMessage);
-    }
-}
-
-void
 System::runQueueLoop(RunStats &stats, std::uint64_t maxInstructions)
 {
     std::uint64_t executed = 0;
@@ -611,13 +492,13 @@ System::runQueueLoop(RunStats &stats, std::uint64_t maxInstructions)
     const bool relaxed = !obs::Tracer::enabled() &&
                          !injector_.active() &&
                          maxInstructions >= runawayInstructionBudget;
-    // Compiled dispatch keeps the relaxed discipline and has no slow
+    // Compiled dispatch keeps the relaxed discipline and has no exact
     // mode of its own: whenever an exact regime applies, the whole
-    // run deoptimizes to Core::runSlice, which handles it
-    // byte-exactly. The sampler's single-step dispatch below takes
-    // precedence over both.
-    const bool compiled =
-        params_.scheduler == SchedulerKind::Compiled && relaxed;
+    // run falls back to Core::runSlice, which handles it
+    // byte-exactly. Single-instruction dispatch (the step oracle, or
+    // any run under the interval sampler) takes precedence over both.
+    const bool single =
+        params_.scheduler == SchedulerKind::Step || sampling;
     TileId running = -1;
 
     queue_.clear();
@@ -627,7 +508,21 @@ System::runQueueLoop(RunStats &stats, std::uint64_t maxInstructions)
             queue_.push(t, tile.core->time());
     }
 
-    auto loop = [&] {
+    // Injected faults surface as exceptions mid-step and become a
+    // Termination::Fault outcome. A crash of the simulated software
+    // (wild branch, runaway PC) is a run outcome with or without an
+    // injector; any other error is one only while an injected fault
+    // may have corrupted the state it tripped over (e.g. a flipped
+    // CUST output used as an address) — without an injector it
+    // indicates real misuse and must propagate. One frame around the
+    // whole loop costs the fault-free path nothing.
+    auto crashed = [&](const FatalError &err) {
+        stats.termination = fault::Termination::Fault;
+        stats.faultMessage = detail::formatMessage(
+            "tile ", running, " crashed: ", err.what());
+        warn(stats.faultMessage);
+    };
+    try {
         while (!queue_.empty()) {
             if (executed >= maxInstructions) {
                 stats.termination =
@@ -635,9 +530,10 @@ System::runQueueLoop(RunStats &stats, std::uint64_t maxInstructions)
                 return;
             }
 
-            // Deadline watchdog poll (see runStepLoop): once per
-            // dispatched slice, never inside Core::runSlice or
-            // Core::runCompiled.
+            // Cooperative wall-clock cancellation: polled once per
+            // dispatch, never inside Core::runSlice or
+            // Core::runCompiled, so a token-free run pays one
+            // predictable branch per pick and no atomic traffic.
             if (params_.abortFlag &&
                 params_.abortFlag->load(std::memory_order_relaxed))
                 throw fault::DeadlineExceededError(
@@ -650,15 +546,17 @@ System::runQueueLoop(RunStats &stats, std::uint64_t maxInstructions)
             Tile &tile = tiles_[static_cast<std::size_t>(pick)];
 
             cpu::StepResult result;
-            if (sampling) {
-                // Single-step dispatch under interval profiling:
-                // each step's bucket deltas must land in the window
-                // of that step's completion time, so slices collapse
-                // to length one and the timeline stays bit-identical
-                // to the reference scheduler's.
+            if (single) {
+                // One instruction per pick: the step oracle's total
+                // interleaving. Under interval profiling each step's
+                // bucket deltas must also land in the window of that
+                // step's completion time, so slices collapse to
+                // length one and the timeline stays bit-identical to
+                // the oracle's.
                 result = tile.core->step();
                 ++executed;
-                sampleStep(pick);
+                if (sampling)
+                    sampleStep(pick);
             } else {
                 // Run ahead: the top core is the globally minimal
                 // (time, id) key, and stays safe to run without
@@ -676,13 +574,13 @@ System::runQueueLoop(RunStats &stats, std::uint64_t maxInstructions)
                     horizonTime = next.time;
                     horizonTile = next.tile;
                 }
-                result = compiled
+                result = relaxed
                              ? tile.core->runCompiled(
                                    maxInstructions, executed,
                                    horizonTime, horizonTile)
                              : tile.core->runSlice(
                                    maxInstructions, executed,
-                                   horizonTime, horizonTile, relaxed);
+                                   horizonTime, horizonTile);
             }
 
             if (result == cpu::StepResult::Blocked) {
@@ -694,7 +592,9 @@ System::runQueueLoop(RunStats &stats, std::uint64_t maxInstructions)
                 queue_.updateTop(tile.core->time());
             }
 
-            // Deliver wake-ups (see runStepLoop); woken receivers
+            // Wake exactly the receivers whose pending RECV matches
+            // a message injected by this dispatch; everyone else
+            // would re-poll, fail, and re-block. Woken receivers
             // re-enter the queue at the time they blocked.
             if (!sentThisStep_.empty()) {
                 for (const auto &msg : sentThisStep_) {
@@ -713,39 +613,22 @@ System::runQueueLoop(RunStats &stats, std::uint64_t maxInstructions)
             }
         }
         noteDeadlock(stats);
-    };
-
-    // Same hoisted exception discipline as runStepLoop: the
-    // no-injector frame converts only typed execution faults, the
-    // injector frame everything fault-induced. Compiled dispatch
-    // implies an inactive injector, so it always takes the first.
-    if (!injector_.active()) {
-        try {
-            loop();
-        } catch (const fault::ExecutionFaultError &err) {
-            stats.termination = fault::Termination::Fault;
-            stats.faultMessage = detail::formatMessage(
-                "tile ", running, " crashed: ", err.what());
-            warn(stats.faultMessage);
-        }
-        return;
-    }
-    try {
-        loop();
     } catch (const fault::PatchFaultError &err) {
+        // Only an armed fault plan kills patches.
         stats.termination = fault::Termination::Fault;
         stats.patchFault = err.fault();
         stats.faultMessage = err.what();
         warn(err.what());
+    } catch (const fault::ExecutionFaultError &err) {
+        crashed(err);
     } catch (const fault::DeadlineExceededError &) {
         // A watchdog abort is a service-tier outcome, not a hardware
         // fault of this run: let the engine type it as "deadline".
         throw;
     } catch (const FatalError &err) {
-        stats.termination = fault::Termination::Fault;
-        stats.faultMessage = detail::formatMessage(
-            "tile ", running, " crashed: ", err.what());
-        warn(stats.faultMessage);
+        if (!injector_.active())
+            throw;
+        crashed(err);
     }
 }
 
@@ -785,15 +668,7 @@ System::run(std::uint64_t maxInstructions)
                 bucketsNow(t);
     }
 
-    switch (params_.scheduler) {
-      case SchedulerKind::Step:
-        runStepLoop(stats, maxInstructions);
-        break;
-      case SchedulerKind::Slice:
-      case SchedulerKind::Compiled:
-        runQueueLoop(stats, maxInstructions);
-        break;
-    }
+    runQueueLoop(stats, maxInstructions);
 
     // A run cut short (deadlock, fault, step budget) may never reach
     // the harness's orderly Tracer::stop(): make the on-disk trace a

@@ -42,54 +42,43 @@ enum class AccelMode
 };
 
 /**
- * How System::run dispatches work to the cores. Every scheduler
- * implements the same conservative discipline and produces
- * bit-identical RunStats, reports, traces and profiles, so the choice
- * is an execution detail, never part of a result's identity. Step is
- * the simple reference oracle (one linear scan + one instruction per
- * iteration); Slice and Compiled share one event-driven loop
- * (indexed min-heap + run-ahead slices), and Compiled is the default.
+ * How System::run dispatches work to the cores. Both schedulers run
+ * the one event-driven loop (System::runQueueLoop: an indexed
+ * min-heap of runnable tiles keyed by (local time, id), the linear
+ * scan's pick order) and produce bit-identical RunStats, reports,
+ * traces and profiles, so the choice is an execution detail, never
+ * part of a result's identity.
  *
- * The event-driven loop picks between two run-ahead regimes per run
- * (see DESIGN.md §10 for the invariant proofs):
- *
- *  - relaxed (the fast path): a core runs ahead through tile-private
- *    work (ALU, control flow, private-memory traffic) without limit;
- *    only the globally visible operations — SEND, RECV, CUST — wait
- *    until the core holds the globally minimal (time, id) key. The
- *    global event order, and with it every message arrival, every
- *    injected-fault stream and every final counter, is exactly the
- *    step scheduler's.
- *  - exact: the slice additionally ends as soon as the core's clock
- *    passes the next-runnable tile's key, reproducing the step
- *    scheduler's total instruction interleaving one-for-one. Chosen
- *    automatically whenever something observes that total order:
- *    cycle tracing (event file order), active fault injection
- *    (partial stats at a Fault termination), or a finite instruction
- *    budget (which attempt is the cutoff). Interval profiling
- *    further drops to single-instruction dispatch so bucket deltas
+ *  - Step, the parity oracle: single-instruction dispatch, one
+ *    Core::step per pick — the total instruction interleaving of the
+ *    conservative discipline, spelled out.
+ *  - Compiled, the default: run-ahead slices. A relaxed run (the
+ *    fast path) dispatches through Core::runCompiled —
+ *    translation-cached micro-op traces (src/jit/, DESIGN.md §15)
+ *    that run tile-private work (ALU, control flow, private-memory
+ *    traffic) ahead without limit, while SEND/RECV wait until the
+ *    core holds the globally minimal (time, id) key, so every global
+ *    event lands in exactly the oracle's order. Whenever something
+ *    observes the total instruction order — cycle tracing (event file
+ *    order), an active fault injector (partial stats at a Fault
+ *    termination) or a finite instruction budget (which attempt is
+ *    the cutoff) — the whole run falls back to exact slices
+ *    (Core::runSlice), which end as soon as the core's clock passes
+ *    the next-runnable tile's key. Interval profiling drops further,
+ *    to the oracle's single-instruction dispatch, so bucket deltas
  *    land in the reference sample windows.
  *
- * Under Compiled, relaxed slices run through Core::runCompiled —
- * translation-cached micro-op traces with inline-cached memory
- * routing and superinstructions (src/jit/, DESIGN.md §15) instead of
- * the per-instruction fetch→decode→switch of Core::runSlice (the
- * Slice kind). Whenever something observes per-instruction order or
- * state (cycle tracing, interval sampling, an active fault injector,
- * a meaningful instruction budget), the whole run deoptimizes to
- * Core::runSlice, which already handles those regimes byte-exactly.
- *
- * The `sched_parity_is_exact` ctest and tests/test_sched.cc hold all
- * three schedulers to byte-equality across all of these regimes.
+ * See DESIGN.md §10 for the invariant proofs. The
+ * `sched_parity_is_exact` ctest and tests/test_sched.cc hold the two
+ * schedulers to byte-equality across all of these regimes.
  */
 enum class SchedulerKind
 {
-    Step,  ///< reference: O(tiles) scan, one instruction per pick
-    Slice, ///< event-driven: O(log tiles) heap, run-ahead slices
-    Compiled, ///< (default) Slice + translation-cached trace dispatch
+    Step,     ///< parity oracle: one instruction per pick
+    Compiled, ///< (default) run-ahead slices, translation-cached
 };
 
-/** Printable name ("step" / "slice" / "compiled"). */
+/** Printable name ("step" / "compiled"). */
 const char *schedulerKindName(SchedulerKind k);
 
 /** Parse a --scheduler= value; throws fault::ConfigError otherwise. */
@@ -111,7 +100,7 @@ struct SystemParams
 
     /**
      * Cooperative cancellation token (service tier): when non-null,
-     * the run loops poll it at dispatch granularity and raise
+     * the run loop polls it at dispatch granularity and raise
      * fault::DeadlineExceededError once it reads true. Null (the
      * default) costs one predictable branch per dispatch and keeps
      * every run byte-identical to a token-free build.
@@ -293,9 +282,9 @@ class System : public cpu::CustomHandler, public cpu::MessageHub
     /**
      * The default `maxInstructions` of run(): a runaway backstop,
      * not a measurement feature. Passing anything smaller marks the
-     * budget as meaningful, which makes the slice scheduler use
-     * reference-exact interleaving so the cutoff lands on the very
-     * same instruction attempt as under the step scheduler.
+     * budget as meaningful, which makes the compiled scheduler fall
+     * back to exact slices so the cutoff lands on the very same
+     * instruction attempt as under the step oracle.
      */
     static constexpr std::uint64_t runawayInstructionBudget =
         2'000'000'000ull;
@@ -383,13 +372,10 @@ class System : public cpu::CustomHandler, public cpu::MessageHub
     /** Feed the stepped tile's new bucket cycles to the sampler. */
     void sampleStep(TileId t);
 
-    /** The reference scheduler: linear scan, one instruction/pick. */
-    void runStepLoop(RunStats &stats, std::uint64_t maxInstructions);
-
     /**
-     * The event-driven schedulers (Slice and Compiled): run queue +
-     * run-ahead slices. Decides once per run whether each slice
-     * dispatches through Core::runCompiled or Core::runSlice (see
+     * The run loop of both schedulers: run queue + dispatch. Decides
+     * once per run whether each pick executes one Core::step, an
+     * exact Core::runSlice or a relaxed Core::runCompiled (see
      * SchedulerKind).
      */
     void runQueueLoop(RunStats &stats, std::uint64_t maxInstructions);
@@ -414,7 +400,7 @@ class System : public cpu::CustomHandler, public cpu::MessageHub
     core::NullSpmPort nullSpm_;
     fault::FaultInjector injector_;
     std::vector<SentMessage> sentThisStep_;
-    RunQueue queue_; ///< runnable tiles of the slice scheduler
+    RunQueue queue_; ///< runnable tiles of the run loop
 
     core::SnocConfig snocCfg_; ///< preset kept for hop attribution
     std::array<StatGroup, numTiles> patchStats_;

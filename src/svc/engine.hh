@@ -108,17 +108,10 @@ struct EngineOptions
     /** On-disk cache directory; empty disables the disk layer. */
     std::string cacheDir;
 
-    /** In-memory LRU capacity; 0 disables the memory layer (every
-     *  submission simulates — useful for measurement harnesses). */
-    std::size_t memCacheEntries = 256;
-
     /** Collect request-scoped spans (trace ids are assigned and the
      *  latency histograms fill either way; this gates only the span
      *  sink and its exports). */
     bool telemetry = false;
-
-    /** Failed-job ring buffer depth for live introspection. */
-    std::size_t errorRingEntries = 32;
 
     /**
      * Admission limit on *pending* jobs; 0 = unbounded (the seed
@@ -148,9 +141,6 @@ struct EngineOptions
      */
     std::uint64_t metricsIntervalMs = 0;
 
-    /** Time-series ring capacity (windows retained). */
-    std::size_t metricsWindows = 120;
-
     /** SLO objectives evaluated per closed window; empty = no SLO
      *  engine (and nothing SLO-shaped in reports). */
     telem::SloConfig slo;
@@ -161,9 +151,6 @@ struct EngineOptions
 
     /** Flight-record dump directory; empty = record but never dump. */
     std::string flightDir;
-
-    /** Event-ring depth per tracked job. */
-    std::size_t flightEventsPerJob = 64;
 
     /**
      * Shared cache tier (fleet mode): peer shards consulted after a
@@ -450,7 +437,9 @@ class JobEngine
      *  indexed by telem::Stage (queue, cache_probe, report, job). */
     telem::Histogram stageHist_[telem::numStages];
 
-    /** Last-N failed jobs, oldest first (guarded by mutex_). */
+    /** Last errorRingEntries failed jobs, oldest first (guarded by
+     *  mutex_). */
+    static constexpr std::size_t errorRingEntries = 32;
     std::deque<ErrorRecord> errorRing_;
 
     /** Span store + the wall-clock epoch all timestamps share. The

@@ -75,7 +75,7 @@ struct JobSpec
 
     /**
      * Simulator scheduler. An execution detail, not a simulation
-     * property: step, slice and compiled produce byte-identical
+     * property: step and compiled produce byte-identical
      * reports, so jobs differing only here share one cache entry.
      * The "scheduler" key stays accepted and echoed by toJson().
      */

@@ -209,42 +209,37 @@ TEST(RunMemo, EveryBypassReasonSimulatesAndLeavesHitsUnchanged)
         return res;
     };
 
-    RunConfig step = runner.config();
+    RunConfig step;
     step.scheduler = sim::SchedulerKind::Step;
     EXPECT_EQ(fullReport(expectBypass(MemoBypass::Step, step)),
               fullReport(reference));
 
-    RunConfig slice = runner.config();
-    slice.scheduler = sim::SchedulerKind::Slice;
-    EXPECT_EQ(fullReport(expectBypass(MemoBypass::Slice, slice)),
-              fullReport(reference));
-
-    RunConfig budget = runner.config();
+    RunConfig budget;
     budget.maxInstructions = 500;
     EXPECT_EQ(expectBypass(MemoBypass::Budget, budget).stats.termination,
               fault::Termination::InstructionLimit);
 
-    RunConfig faults = runner.config();
+    RunConfig faults;
     faults.faults = fault::FaultPlan::messageDelay(0.5, 3, 7);
     expectBypass(MemoBypass::Fault, faults);
 
-    RunConfig unhealthy = runner.config();
+    RunConfig unhealthy;
     unhealthy.health =
         fault::ArchHealth::fromPlan(fault::FaultPlan::patchFailure(3));
     expectBypass(MemoBypass::Unhealthy, unhealthy);
 
-    RunConfig dump = runner.config();
+    RunConfig dump;
     dump.dumpTraces = true;
     EXPECT_FALSE(expectBypass(MemoBypass::DumpTraces, dump)
                      .traceDump.empty());
 
     obs::Tracer::instance().start(::testing::TempDir() +
                                   "stitch_run_memo_trace.json");
-    expectBypass(MemoBypass::Tracer, runner.config());
+    expectBypass(MemoBypass::Tracer, RunConfig{});
     obs::Tracer::instance().stop();
 
     obs::Sampler::instance().start(1000);
-    expectBypass(MemoBypass::Sampler, runner.config());
+    expectBypass(MemoBypass::Sampler, RunConfig{});
     obs::Sampler::instance().stop();
 
     // With every observer gone the default path hits again.
@@ -259,7 +254,7 @@ TEST(RunMemo, DeadlineAbortedRunIsNotStoredAndHitsHonourTheFlag)
     AppRunner runner(1, 2);
     const AppSpec app = app3SvmEncrypt();
     const std::atomic<bool> tripped{true};
-    RunConfig aborted = runner.config();
+    RunConfig aborted;
     aborted.abortFlag = &tripped;
 
     EXPECT_THROW(runner.run(app, AppMode::Baseline, aborted),
@@ -310,7 +305,7 @@ TEST(RunMemo, FillingPastTheCapEvictsLeastRecentlyUsed)
     // is a distinct key.
     AppRunner runner;
     const MachineDesc empty;
-    const RunConfig config = runner.config();
+    const RunConfig config;
     const int cap = static_cast<int>(AppRunner::runMemoCapacity);
     for (int n = 1; n <= cap; ++n)
         runner.simulate(empty, n, config);

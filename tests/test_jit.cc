@@ -485,7 +485,7 @@ TEST(JitSystem, DefaultParamsDispatchCompiledUnlessObserved)
 TEST(JitSystem, DefaultAppRunDispatchesCompiled)
 {
     apps::AppRunner runner(1, 2);
-    apps::RunConfig config = runner.config();
+    apps::RunConfig config;
     config.dumpTraces = true;
     auto res = runner.run(apps::app1Gesture(), apps::AppMode::Stitch,
                           config);
@@ -497,8 +497,7 @@ TEST(JitSystem, CrashTerminationIsIdenticalAcrossSchedulers)
 {
     std::vector<std::pair<fault::Termination, std::string>> outcomes;
     for (auto kind :
-         {sim::SchedulerKind::Step, sim::SchedulerKind::Slice,
-          sim::SchedulerKind::Compiled}) {
+         {sim::SchedulerKind::Step, sim::SchedulerKind::Compiled}) {
         sim::SystemParams params;
         params.accel = sim::AccelMode::None;
         params.scheduler = kind;

@@ -118,6 +118,12 @@ TEST(JobSchema, StrictParsingRejectsBadDocuments)
     doc.set("schedular", "slice");
     EXPECT_THROW(JobSpec::fromJson(doc), fault::ConfigError);
 
+    // Unknown scheduler ("slice" is a fallback regime, not a
+    // scheduler).
+    doc = minimalJob();
+    doc.set("scheduler", "slice");
+    EXPECT_THROW(JobSpec::fromJson(doc), fault::ConfigError);
+
     // Wrong schema stamp / version.
     doc = minimalJob();
     doc.set("schema", "stitch-jobs");
@@ -512,12 +518,12 @@ TEST(JobEngine, PriorityOrdersClaimsAndDuplicatesCoalesce)
 
 TEST(JobEngine, JobsDifferingOnlyInSchedulerShareOneSimulation)
 {
-    // The same APP1 job under step, slice and the default scheduler:
-    // the first claim simulates, the other two are cache hits, and
-    // all three reports are byte-identical.
+    // The same APP1 job under step, compiled and the default
+    // scheduler: the first claim simulates, the other two are cache
+    // hits, and all three reports are byte-identical.
     JobEngine engine;
     std::vector<int> ids;
-    for (const char *scheduler : {"step", "slice", ""}) {
+    for (const char *scheduler : {"step", "compiled", ""}) {
         obs::Json doc = minimalJob();
         doc.set("mode", "baseline");
         doc.set("samples_short", 1);
@@ -864,7 +870,7 @@ TEST(Server, LocalhostRoundTrip)
     JobEngine engine(options);
     Server server(engine, /*port=*/0);
     ASSERT_GT(server.port(), 0);
-    std::thread loop([&] { server.serve(/*maxRequests=*/3); });
+    std::thread loop([&] { server.serve(/*maxRequests=*/4); });
 
     obs::Json job = minimalJob();
     job.set("mode", "baseline");
@@ -889,6 +895,12 @@ TEST(Server, LocalhostRoundTrip)
     obs::Json error = requestReport("127.0.0.1", server.port(), bad);
     EXPECT_EQ(error.get("status").asString(), "error");
     EXPECT_EQ(error.get("error_kind").asString(), "config");
+    bad = job;
+    bad.set("scheduler", "slice");
+    error = requestReport("127.0.0.1", server.port(), bad);
+    EXPECT_EQ(error.get("error_kind").asString(), "config");
+    EXPECT_NE(error.get("error").asString().find("step|compiled"),
+              std::string::npos);
 
     loop.join();
 }

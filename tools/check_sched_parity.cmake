@@ -1,57 +1,47 @@
-# Test driver: the event-driven slice scheduler and the compiled
-# (translation-cached) scheduler must be byte-exact against the
-# single-step reference on the full fault campaign. The campaign runs
-# three times over the same scenarios — once per scheduler — and every
-# scenario report (healthy + 43 fault runs, each embedding run totals,
-# the stitch plan and the stats dump) must compare equal byte for
-# byte. Invoked by sched_parity_is_exact with
+# Test driver: the compiled (default) scheduler must be byte-exact
+# against the single-step oracle on the full fault campaign. The
+# campaign runs once per scheduler; each run must write one report per
+# scenario plus the healthy reference (run totals, stitch plan, stats
+# dump), the two report sets must be equal, and every pair must
+# compare equal byte for byte. Invoked by sched_parity_is_exact with
 # -DFAULT_CAMPAIGN=... -DOUT_DIR=...
 
-set(scheds step slice compiled)
-
-foreach(sched IN LISTS scheds)
-    file(REMOVE_RECURSE "${OUT_DIR}/sched_parity_${sched}")
-endforeach()
-
-foreach(sched IN LISTS scheds)
+foreach(sched step compiled)
+    set(dir "${OUT_DIR}/sched_parity_${sched}")
+    file(REMOVE_RECURSE "${dir}")
     execute_process(
-        COMMAND "${FAULT_CAMPAIGN}" "--scheduler=${sched}"
-                "--out=${OUT_DIR}/sched_parity_${sched}"
-        RESULT_VARIABLE rc
-        OUTPUT_QUIET ERROR_QUIET)
-    if(NOT rc EQUAL 0)
-        message(FATAL_ERROR
-                "fault_campaign --scheduler=${sched} failed "
-                "with status ${rc}")
+        COMMAND "${FAULT_CAMPAIGN}" "--scheduler=${sched}" "--out=${dir}"
+        RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_QUIET)
+    if(NOT rc EQUAL 0 OR NOT out MATCHES "\n([0-9]+) scenarios;")
+        message(FATAL_ERROR "fault_campaign --scheduler=${sched} failed "
+                            "(status ${rc}) or printed no scenario count")
+    endif()
+    math(EXPR want "${CMAKE_MATCH_1} + 1") # + the healthy reference
+    file(GLOB reports_${sched} RELATIVE "${dir}" "${dir}/*.json")
+    list(LENGTH reports_${sched} count)
+    if(NOT count EQUAL want)
+        message(FATAL_ERROR "the ${sched} campaign wrote ${count} "
+                            "reports, expected ${want}")
     endif()
 endforeach()
 
-set(step_dir "${OUT_DIR}/sched_parity_step")
-file(GLOB step_reports RELATIVE "${step_dir}" "${step_dir}/*.json")
-list(LENGTH step_reports count)
-if(count EQUAL 0)
-    message(FATAL_ERROR "the step campaign wrote no reports")
+if(NOT reports_step STREQUAL reports_compiled)
+    message(FATAL_ERROR "step and compiled wrote different report sets:"
+                        "\n  ${reports_step}\n  ${reports_compiled}")
 endif()
 
-foreach(sched slice compiled)
-    set(other_dir "${OUT_DIR}/sched_parity_${sched}")
-    foreach(name IN LISTS step_reports)
-        if(NOT EXISTS "${other_dir}/${name}")
-            message(FATAL_ERROR
-                    "${sched} campaign is missing report ${name}")
-        endif()
-        execute_process(
-            COMMAND ${CMAKE_COMMAND} -E compare_files
-                    "${step_dir}/${name}" "${other_dir}/${name}"
-            RESULT_VARIABLE rc)
-        if(NOT rc EQUAL 0)
-            message(FATAL_ERROR
-                    "scheduler parity violated: ${name} differs "
-                    "between --scheduler=step and "
-                    "--scheduler=${sched}")
-        endif()
-    endforeach()
+foreach(name IN LISTS reports_step)
+    execute_process(
+        COMMAND ${CMAKE_COMMAND} -E compare_files
+                "${OUT_DIR}/sched_parity_step/${name}"
+                "${OUT_DIR}/sched_parity_compiled/${name}"
+        RESULT_VARIABLE rc)
+    if(NOT rc EQUAL 0)
+        message(FATAL_ERROR
+                "scheduler parity violated: ${name} differs between "
+                "--scheduler=step and --scheduler=compiled")
+    endif()
 endforeach()
 
 message(STATUS "${count} scenario reports byte-identical across "
-               "step/slice/compiled schedulers")
+               "step/compiled schedulers")

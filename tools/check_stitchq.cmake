@@ -12,6 +12,14 @@
 #  4. `--scheduler=` is not a front-end flag: stitchq and stitchd both
 #     reject it with a usage error (exit 2) that names the job
 #     document's "scheduler" key.
+#  5. No front-end accepts a flag it would then ignore: stitchq
+#     `--json=`, stitchd `--json=`/`--out=`, and smoke_app
+#     `--json=`/`--out=`/`--jobs=` or a misspelled flag each exit 2
+#     naming the flag, and smoke_app `--scheduler=slice` exits 2
+#     naming the schedulers that exist.
+#  6. A job document asking for a "slice" scheduler (exact slices
+#     are only the compiled scheduler's fallback) is a typed config
+#     rejection, not a crash and not a silent default.
 #
 # Invoked by stitchq_batch_smoke with -DSTITCHQ=... -DSTITCHD=...
 # -DSMOKE_APP=... -DOUT_DIR=...
@@ -48,6 +56,49 @@ foreach(tool STITCHQ STITCHD)
                 "the job document's \"scheduler\" key: ${err}")
     endif()
 endforeach()
+
+# 5. Flags a front-end does not use are usage errors, not no-ops.
+foreach(case
+        "STITCHQ;--json=${work}/ignored.json"
+        "STITCHD;--json=${work}/ignored.json"
+        "STITCHD;--out=${work}/ignored"
+        "SMOKE_APP;--json=${work}/ignored.json"
+        "SMOKE_APP;--out=${work}/ignored"
+        "SMOKE_APP;--jobs=4"
+        "SMOKE_APP;--jsn=oops")
+    list(GET case 0 tool)
+    list(GET case 1 flag)
+    execute_process(
+        COMMAND "${${tool}}" "${work}/batch.jsonl" "${flag}"
+        RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+    string(FIND "${err}" "${flag}" at)
+    if(NOT rc EQUAL 2 OR at LESS 0 OR NOT out STREQUAL "")
+        message(FATAL_ERROR "${tool} ${flag}: expected exit 2 naming "
+                            "the flag before any work, got ${rc}: ${err}")
+    endif()
+endforeach()
+execute_process(
+    COMMAND "${SMOKE_APP}" APP1-gesture "--scheduler=slice"
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "step\\|compiled")
+    message(FATAL_ERROR "smoke_app --scheduler=slice: expected exit 2 "
+                        "naming step|compiled, got ${rc}: ${err}")
+endif()
+
+# 6. "scheduler":"slice" in a job document: a typed config rejection.
+file(WRITE "${work}/slice.jsonl" "{\"schema\":\"stitch-job\",\"version\":1,\"app\":\"APP1\",\"scheduler\":\"slice\"}\n")
+execute_process(
+    COMMAND "${STITCHQ}" "${work}/slice.jsonl"
+            "--summary=${work}/slice_summary.json"
+    RESULT_VARIABLE rc OUTPUT_QUIET)
+file(READ "${work}/slice_summary.json" summary)
+string(JSON kind GET "${summary}" jobs 0 error_kind)
+string(JSON error GET "${summary}" jobs 0 error)
+if(NOT rc EQUAL 1 OR NOT kind STREQUAL "config" OR
+   NOT error MATCHES "step\\|compiled")
+    message(FATAL_ERROR "a \"slice\" job must be a config rejection "
+                        "naming step|compiled, got ${rc}/${kind}: ${error}")
+endif()
 
 # The serial reference: smoke_app's --report of the same application
 # is built by the same svc::appReportJson, so equality must be exact.
@@ -114,4 +165,5 @@ if(NOT simulated EQUAL 0 OR NOT hits EQUAL 3)
 endif()
 
 message(STATUS "stitchq batch matches serial reports; warm cache "
-               "re-ran 0 simulations; --scheduler= rejected")
+               "re-ran 0 simulations; --scheduler= and unused flags "
+               "rejected; \"slice\" jobs are config errors")

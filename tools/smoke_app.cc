@@ -4,7 +4,7 @@
  * architecture modes and print per-sample cycles and boosts.
  *
  * Usage:
- *   smoke_app [name-filter] [--scheduler=step|slice|compiled]
+ *   smoke_app [name-filter] [--scheduler=step|compiled]
  *             [--trace=FILE] [--report=FILE] [--stats=FILE]
  *             [--profile[=N]] [--speedscope=FILE] [--dump-hot]
  *             [--dump-traces] [--verbose]
@@ -13,15 +13,18 @@
  * and --speedscope describe the last application run executed (filter
  * to one app for a focused report, e.g. `smoke_app APP1
  * --report=r.json --profile`). --scheduler selects the simulator
- * scheduler (default: compiled, the translation-cached backend; slice
- * is the event-driven interpreter it deoptimizes to, step the
- * single-step reference — all three produce identical results).
+ * scheduler (default: compiled, the translation-cached backend; step
+ * is the single-step parity oracle — both produce identical results).
  * --dump-hot prints the last run's hottest basic blocks;
  * --dump-traces prints its translated micro-op traces (empty under
- * step or slice, or when tracing or profiling deoptimizes the run).
+ * step, or when tracing or profiling takes the run off translated
+ * traces).
+ * Any other flag is a usage error (exit 2), as is an unknown
+ * scheduler name.
  */
 
 #include <cstdio>
+#include <optional>
 #include <string>
 
 #include "apps/app_runner.hh"
@@ -37,31 +40,35 @@ int
 main(int argc, char **argv)
 {
     obs::CliOptions obsOpts;
-    cli::CommonFlags common;
-    std::string filter;
+    apps::RunConfig runCfg;
+    std::string filter, scheduler;
     bool dumpHot = false;
-    bool dumpTraces = false;
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         if (arg == "--dump-hot")
             dumpHot = true;
         else if (arg == "--dump-traces")
-            dumpTraces = true;
-        else if (!common.parse(argv[i]) && !obsOpts.parse(argv[i]))
+            runCfg.dumpTraces = true;
+        else if (arg[0] != '-')
             filter = arg;
+        else if (!cli::keyedValue(argv[i], "--scheduler=", &scheduler) &&
+                 !obsOpts.parse(argv[i])) {
+            std::fprintf(stderr, "smoke_app: unknown flag %s\n",
+                         arg.c_str());
+            return 2;
+        }
     }
-    sim::SchedulerKind scheduler =
-        common.scheduler.empty()
-            ? sim::SchedulerKind::Compiled
-            : sim::schedulerKindFromName(common.scheduler);
+    try {
+        if (!scheduler.empty())
+            runCfg.scheduler = sim::schedulerKindFromName(scheduler);
+    } catch (const fault::ConfigError &err) {
+        std::fprintf(stderr, "smoke_app: %s\n", err.what());
+        return 2;
+    }
     obsOpts.begin();
 
     apps::AppRunner runner;
-    runner.setScheduler(scheduler);
-    apps::RunConfig runCfg = runner.config();
-    runCfg.dumpTraces = dumpTraces;
-    const apps::AppRunResult *last = nullptr;
-    static apps::AppRunResult lastStorage;
+    std::optional<apps::AppRunResult> last;
     for (auto &app : apps::allApps()) {
         if (!filter.empty() &&
             app.name.find(filter) == std::string::npos)
@@ -94,8 +101,7 @@ main(int argc, char **argv)
                 std::printf("   plan: %d single, %d fused\n", single,
                             fused);
             }
-            lastStorage = res;
-            last = &lastStorage;
+            last = std::move(res);
         }
     }
 
@@ -110,7 +116,7 @@ main(int argc, char **argv)
                             hb.instructions));
         std::fflush(stdout);
     }
-    if (last && dumpTraces) {
+    if (last && runCfg.dumpTraces) {
         std::printf("%s", last->traceDump.c_str());
         std::fflush(stdout);
     }

@@ -135,10 +135,9 @@ sendMode(const std::string &target, const std::string &jobPath,
 int
 main(int argc, char **argv)
 {
-    cli::CommonFlags common;
     std::string cacheDir, portFile, sendTarget, jobPath, reportPath;
     std::string sloPath, flightDir, peersCsv;
-    int port = 0, maxRequests = 0, maxQueue = 0;
+    int port = 0, jobs = 1, maxRequests = 0, maxQueue = 0;
     std::uint64_t metricsIntervalMs = 1000;
     svc::RemoteCacheOptions remoteCache;
     svc::ServerOptions serverOptions;
@@ -151,8 +150,7 @@ main(int argc, char **argv)
                         obs::versionText("stitchd").c_str());
             return 0;
         }
-        if (common.parse(arg) ||
-            cli::keyedValue(arg, "--cache=", &cacheDir) ||
+        if (cli::keyedValue(arg, "--cache=", &cacheDir) ||
             cli::keyedValue(arg, "--port-file=", &portFile) ||
             cli::keyedValue(arg, "--report=", &reportPath) ||
             cli::keyedValue(arg, "--send=", &sendTarget))
@@ -160,6 +158,19 @@ main(int argc, char **argv)
         if (cli::keyedValue(arg, "--port=", &value)) {
             port = std::atoi(value.c_str());
             continue;
+        }
+        if (cli::keyedValue(arg, "--jobs=", &value)) {
+            jobs = std::atoi(value.c_str());
+            continue;
+        }
+        if (cli::keyedValue(arg, "--scheduler=", &value)) {
+            // Every scheduler yields the same report, so the choice
+            // is per job, not per process.
+            std::fprintf(stderr,
+                         "stitchd: --scheduler is not a stitchd flag; "
+                         "choose a scheduler with the job document's "
+                         "\"scheduler\" key\n");
+            return 2;
         }
         if (cli::keyedValue(arg, "--max-requests=", &value)) {
             maxRequests = std::atoi(value.c_str());
@@ -220,15 +231,6 @@ main(int argc, char **argv)
         }
         jobPath = arg;
     }
-    if (!common.scheduler.empty()) {
-        // Every scheduler yields the same report, so the choice is
-        // per job, not per process.
-        std::fprintf(stderr,
-                     "stitchd: --scheduler is not a stitchd flag; choose "
-                     "a scheduler with the job document's "
-                     "\"scheduler\" key\n");
-        return 2;
-    }
 
     try {
         if (!sendTarget.empty()) {
@@ -242,7 +244,7 @@ main(int argc, char **argv)
         }
 
         svc::EngineOptions options;
-        options.jobs = cli::resolveJobs(common.jobs);
+        options.jobs = cli::resolveJobs(jobs);
         options.cacheDir = cacheDir;
         options.maxQueueDepth = maxQueue;
         // The daemon always collects spans: quantiles for the

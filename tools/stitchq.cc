@@ -90,10 +90,9 @@ readFileOrDie(const std::string &path)
 int
 main(int argc, char **argv)
 {
-    std::string batchPath, cacheDir, summaryPath;
+    std::string batchPath, cacheDir, outDir, summaryPath;
     std::string svcTracePath, svcEventsPath, metricsOutPath;
-    int maxQueue = 0;
-    cli::CommonFlags common;
+    int jobs = 1, maxQueue = 0;
     std::string value;
     for (int i = 1; i < argc; ++i) {
         const char *arg = argv[i];
@@ -102,16 +101,29 @@ main(int argc, char **argv)
                         obs::versionText("stitchq").c_str());
             return 0;
         }
-        if (common.parse(arg) ||
-            cli::keyedValue(arg, "--cache=", &cacheDir) ||
+        if (cli::keyedValue(arg, "--cache=", &cacheDir) ||
+            cli::keyedValue(arg, "--out=", &outDir) ||
             cli::keyedValue(arg, "--summary=", &summaryPath) ||
             cli::keyedValue(arg, "--svc-trace=", &svcTracePath) ||
             cli::keyedValue(arg, "--svc-events=", &svcEventsPath) ||
             cli::keyedValue(arg, "--metrics-out=", &metricsOutPath))
             continue;
+        if (cli::keyedValue(arg, "--jobs=", &value)) {
+            jobs = std::atoi(value.c_str());
+            continue;
+        }
         if (cli::keyedValue(arg, "--max-queue=", &value)) {
             maxQueue = std::atoi(value.c_str());
             continue;
+        }
+        if (cli::keyedValue(arg, "--scheduler=", &value)) {
+            // Every scheduler yields the same report, so the choice
+            // is per job, not per process.
+            std::fprintf(stderr,
+                         "stitchq: --scheduler is not a stitchq flag; "
+                         "choose a scheduler with the job document's "
+                         "\"scheduler\" key\n");
+            return 2;
         }
         if (std::strcmp(arg, "--verbose") == 0) {
             obs::Registry::setVerbosity(Verbosity::Info);
@@ -122,15 +134,6 @@ main(int argc, char **argv)
             return 2;
         }
         batchPath = arg;
-    }
-    if (!common.scheduler.empty()) {
-        // Every scheduler yields the same report, so the choice is
-        // per job, not per process.
-        std::fprintf(stderr,
-                     "stitchq: --scheduler is not a stitchq flag; choose "
-                     "a scheduler with the job document's "
-                     "\"scheduler\" key\n");
-        return 2;
     }
     if (batchPath.empty()) {
         std::fprintf(
@@ -143,7 +146,7 @@ main(int argc, char **argv)
     }
 
     svc::EngineOptions options;
-    options.jobs = cli::resolveJobs(common.jobs);
+    options.jobs = cli::resolveJobs(jobs);
     options.cacheDir = cacheDir;
     options.maxQueueDepth = maxQueue;
     options.telemetry =
@@ -229,9 +232,9 @@ main(int argc, char **argv)
                 "%.0f",
                 result.derived.get("per_sample_cycles").asDouble());
             latency = strformat("%.1fms", result.latencyMs);
-            if (!common.out.empty()) {
+            if (!outDir.empty()) {
                 const std::string path =
-                    common.out + "/" +
+                    outDir + "/" +
                     strformat("job%03d.json", outIndex);
                 obs::writeJsonFile(path, result.report);
                 entry.set("report", path);
