@@ -16,6 +16,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <initializer_list>
 #include <map>
 #include <string>
 
@@ -154,18 +155,35 @@ writeObsArtifacts(const apps::AppRunResult &res)
                 static_cast<std::uint64_t>(res.samplesLong)));
 }
 
+/** Exit 2 naming `arg` unless it starts with one of `ownFlags` (a
+ *  bench's own flags, spelled as prefixes such as "--out="). */
+inline void
+requireOwnFlag(const char *arg,
+               std::initializer_list<const char *> ownFlags)
+{
+    for (const char *prefix : ownFlags)
+        if (std::string(arg).rfind(prefix, 0) == 0)
+            return;
+    std::fprintf(stderr, "%s: unknown flag '%s'\n", benchName().c_str(),
+                 arg);
+    std::exit(2);
+}
+
 /**
  * First call of every bench main(): pick up the observability
  * switches (--trace/--report/--stats/--profile/--speedscope/
  * --verbose), the metrics sink (--json=PATH), --jobs=N and
- * --scheduler=NAME (an unknown name exits 2; other args are left to
- * the bench) and apply them. inform() is silent unless --verbose, so
- * benches no longer hand-disable status output. The report/stats/
- * profile files describe the last application run the bench
- * performed; the --json document carries every recordMetric() call.
+ * --scheduler=NAME (an unknown name exits 2) and apply them. Any
+ * other argument must be one of the bench's `ownFlags` (which the
+ * bench then parses itself) or the bench exits 2 naming it.
+ * inform() is silent unless --verbose, so benches no longer
+ * hand-disable status output. The report/stats/profile files
+ * describe the last application run the bench performed; the --json
+ * document carries every recordMetric() call.
  */
 inline void
-initObs(int argc, char **argv)
+initObs(int argc, char **argv,
+        std::initializer_list<const char *> ownFlags = {})
 {
     if (argc > 0) {
         std::string path = argv[0];
@@ -186,8 +204,9 @@ initObs(int argc, char **argv)
                              err.what());
                 std::exit(2);
             }
-        } else if (!parseJsonFlag(argv[i])) {
-            obsFlags().parse(argv[i]);
+        } else if (!parseJsonFlag(argv[i]) &&
+                   !obsFlags().parse(argv[i])) {
+            requireOwnFlag(argv[i], ownFlags);
         }
     }
     obsFlags().begin();

@@ -486,7 +486,7 @@ buildScenarios()
 int
 main(int argc, char **argv)
 {
-    bench::initObs(argc, argv);
+    bench::initObs(argc, argv, {"--flight-dir="});
     for (int i = 1; i < argc; ++i)
         if (cli::keyedValue(argv[i], "--flight-dir=",
                             &flightDirFlag()))

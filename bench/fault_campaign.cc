@@ -89,7 +89,7 @@ completed(const svc::JobResult &result)
 int
 main(int argc, char **argv)
 {
-    bench::initObs(argc, argv);
+    bench::initObs(argc, argv, {"--app=", "--out="});
 
     std::string outDir, appName = "APP3";
     for (int i = 1; i < argc; ++i)

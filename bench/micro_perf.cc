@@ -19,25 +19,6 @@ namespace
 
 using namespace stitch;
 
-/** Simulated instructions per second of the core interpreter. */
-void
-BM_CoreInterpreter(benchmark::State &state)
-{
-    auto input = kernels::kernelByName("fir").build({});
-    mem::TileMemory memory;
-    cpu::Core core(0, memory, nullptr, nullptr);
-    std::uint64_t instructions = 0;
-    for (auto _ : state) {
-        core.loadProgram(input.program);
-        core.runToHalt();
-        instructions += core.instructionsRetired();
-    }
-    state.counters["sim_instr/s"] = benchmark::Counter(
-        static_cast<double>(instructions),
-        benchmark::Counter::kIsRate);
-}
-BENCHMARK(BM_CoreInterpreter);
-
 /**
  * Single-core dispatch throughput of the step interpreter, in the
  * same "mips" units as the system-level benches so the two core
@@ -223,10 +204,12 @@ int
 main(int argc, char **argv)
 {
     bench::benchName() = "micro_perf";
-    std::vector<char *> args;
-    for (int i = 0; i < argc; ++i)
-        if (i == 0 || !bench::parseJsonFlag(argv[i]))
+    std::vector<char *> args{argv[0]};
+    for (int i = 1; i < argc; ++i)
+        if (!bench::parseJsonFlag(argv[i])) {
+            bench::requireOwnFlag(argv[i], {"--benchmark_"});
             args.push_back(argv[i]);
+        }
     int filtered = static_cast<int>(args.size());
     benchmark::Initialize(&filtered, args.data());
     if (benchmark::ReportUnrecognizedArguments(filtered, args.data()))

@@ -26,6 +26,7 @@
 #include <unordered_map>
 
 #include "apps/apps.hh"
+#include "common/stats.hh"
 #include "compiler/stitcher.hh"
 #include "kernels/catalog.hh"
 #include "obs/json.hh"
@@ -238,6 +239,23 @@ struct RunMemoStats
     std::uint64_t evictions = 0; ///< LRU capacity evictions
     std::size_t entries = 0;
     std::array<std::uint64_t, numMemoBypasses> bypassed{};
+
+    /** Every field once (see StatKind); the bypass reasons nest as
+     *  "bypassed.<reason>". */
+    template <class Fn>
+    void
+    forEachField(Fn &&fn) const
+    {
+        fn("hits", hits, StatKind::Counter);
+        fn("misses", misses, StatKind::Counter);
+        fn("evictions", evictions, StatKind::Counter);
+        fn("entries", std::uint64_t{entries}, StatKind::Gauge);
+        for (int r = 0; r < numMemoBypasses; ++r)
+            fn(std::string("bypassed.") +
+                   memoBypassName(static_cast<MemoBypass>(r)),
+               bypassed[static_cast<std::size_t>(r)],
+               StatKind::Counter);
+    }
 };
 
 /** Compiles, stitches, places, and simulates applications. */

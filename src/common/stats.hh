@@ -17,6 +17,16 @@ namespace stitch
 /** One named statistic's storage; obtained via StatGroup::counter(). */
 using Counter = std::uint64_t;
 
+/** A stats field's kind in the service metric views: a monotone
+ *  count, a level, or a 0/1 flag (a bool in live introspection).
+ *  Stats structs list fields as forEachField(fn(name, value, kind)). */
+enum class StatKind
+{
+    Counter,
+    Gauge,
+    Flag,
+};
+
 /**
  * A bag of named 64-bit counters. Components own one and expose it via
  * a stats() accessor; harnesses aggregate and print them (usually

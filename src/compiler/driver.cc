@@ -74,23 +74,6 @@ allStitchTargets()
 namespace
 {
 
-/** Stub hub matching the profiler's semantics. */
-class StubHub : public cpu::MessageHub
-{
-  public:
-    Cycles
-    send(TileId, TileId, int, Word, Cycles) override
-    {
-        return 1;
-    }
-
-    std::optional<std::pair<Word, Cycles>>
-    tryRecv(TileId, TileId, int) override
-    {
-        return std::make_pair(Word{0}, Cycles{0});
-    }
-};
-
 std::vector<std::vector<std::uint8_t>>
 snapshotRegions(mem::TileMemory &memory,
                 const std::vector<OutputRegion> &regions)
@@ -159,9 +142,14 @@ compileKernel(const std::string &name, const KernelInput &input,
     out.software = input.program;
     out.software.setName(name);
 
-    // 1. Profile the software version and find hot blocks.
-    ProfileResult profile =
-        profileProgram(out.software, options.profile);
+    // 1. Profile the software version and find hot blocks. The same
+    //    run's final memory holds the reference outputs every variant
+    //    is validated against.
+    std::vector<std::vector<std::uint8_t>> goldenOutputs;
+    ProfileResult profile = profileProgram(
+        out.software, options.profile, [&](mem::TileMemory &memory) {
+            goldenOutputs = snapshotRegions(memory, input.outputs);
+        });
     out.softwareCycles = profile.totalCycles;
 
     // 2. Build DFGs of the hot blocks (with block liveness so dead
@@ -180,13 +168,6 @@ compileKernel(const std::string &name, const KernelInput &input,
             out.chainStrings.push_back(std::move(chain));
         dfgs.emplace(blockIdx, std::move(dfg));
     }
-
-    // Reference outputs from the software run.
-    std::vector<std::vector<std::uint8_t>> goldenOutputs;
-    RewrittenProgram softwareBinary;
-    softwareBinary.program = out.software;
-    measureBinary(softwareBinary, std::nullopt, options.profile.mem,
-                  &goldenOutputs, &input.outputs);
 
     // 3-5. Identify, map, select, rewrite and measure per target.
     std::vector<AccelTarget> targets = allStitchTargets();

@@ -10,23 +10,6 @@ namespace stitch::compiler
 namespace
 {
 
-/** Message hub that lets pipeline stages run standalone. */
-class StubHub : public cpu::MessageHub
-{
-  public:
-    Cycles
-    send(TileId, TileId, int, Word, Cycles) override
-    {
-        return 1;
-    }
-
-    std::optional<std::pair<Word, Cycles>>
-    tryRecv(TileId, TileId, int) override
-    {
-        return std::make_pair(Word{0}, Cycles{0});
-    }
-};
-
 /** CUST should not appear in pre-rewrite programs. */
 class RejectCustom : public cpu::CustomHandler
 {
@@ -42,7 +25,8 @@ class RejectCustom : public cpu::CustomHandler
 } // namespace
 
 ProfileResult
-profileProgram(const isa::Program &prog, const ProfileParams &params)
+profileProgram(const isa::Program &prog, const ProfileParams &params,
+               const std::function<void(mem::TileMemory &)> &inspect)
 {
     mem::TileMemory memory(params.mem);
     StubHub hub;
@@ -50,6 +34,8 @@ profileProgram(const isa::Program &prog, const ProfileParams &params)
     cpu::Core core(0, memory, &custom, &hub);
     core.loadProgram(prog);
     core.runToHalt();
+    if (inspect)
+        inspect(memory);
 
     ProfileResult res;
     res.totalCycles = core.time();

@@ -10,6 +10,7 @@
 #define STITCH_COMPILER_PROFILER_HH
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "compiler/dfg.hh"
@@ -38,14 +39,33 @@ struct ProfileParams
     mem::MemParams mem;
 };
 
+/** Message hub that lets pipeline stages run standalone (SEND is
+ *  dropped, RECV returns zero); every standalone run uses it. */
+class StubHub : public cpu::MessageHub
+{
+  public:
+    Cycles
+    send(TileId, TileId, int, Word, Cycles) override
+    {
+        return 1;
+    }
+
+    std::optional<std::pair<Word, Cycles>>
+    tryRecv(TileId, TileId, int) override
+    {
+        return std::make_pair(Word{0}, Cycles{0});
+    }
+};
+
 /**
- * Run `prog` to completion on a scratch core and partition it into
- * blocks. SEND discards into the void and RECV returns zeros
- * immediately, so pipeline-stage programs can be profiled standalone.
+ * Run `prog` to completion on a scratch core (over a StubHub) and
+ * partition it into blocks. `inspect`, when set, sees the run's final
+ * memory — the compiler driver takes its golden outputs there, so the
+ * software runs once per kernel.
  */
-ProfileResult profileProgram(const isa::Program &prog,
-                             const ProfileParams &params
-                             = ProfileParams{});
+ProfileResult profileProgram(
+    const isa::Program &prog, const ProfileParams &params = ProfileParams{},
+    const std::function<void(mem::TileMemory &)> &inspect = {});
 
 } // namespace stitch::compiler
 

@@ -40,6 +40,7 @@
 #include <optional>
 #include <string>
 
+#include "common/stats.hh"
 #include "obs/json.hh"
 #include "svc/chaos.hh"
 #include "svc/job.hh"
@@ -174,6 +175,24 @@ class ResultCache
 
         /** Hits over lookups (memory + disk), in [0, 1]. */
         double hitRate() const;
+
+        /** Every field once (see StatKind). */
+        template <class Fn>
+        void
+        forEachField(Fn &&fn) const
+        {
+            fn("mem_hits", memHits, StatKind::Counter);
+            fn("disk_hits", diskHits, StatKind::Counter);
+            fn("misses", misses, StatKind::Counter);
+            fn("stores", stores, StatKind::Counter);
+            fn("invalidated", invalidated, StatKind::Counter);
+            fn("evictions", evictions, StatKind::Counter);
+            fn("write_failures", writeFailures, StatKind::Counter);
+            fn("torn_writes", tornWrites, StatKind::Counter);
+            fn("quarantined", quarantined, StatKind::Counter);
+            fn("tmp_swept", tmpSwept, StatKind::Counter);
+            fn("degraded", std::uint64_t{degraded}, StatKind::Flag);
+        }
     };
     Stats stats() const;
 

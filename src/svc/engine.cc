@@ -44,42 +44,9 @@ JobEngine::JobEngine(const EngineOptions &options)
                 .count()),
         reinterpret_cast<std::uintptr_t>(this));
 
-    registry_.add("svc.jobs", jobStats_);
-    registry_.add("svc.cache", cacheStats_);
-    registry_.add("svc.queue", queueStats_);
-    registry_.add("svc.latency", latencyStats_);
-    registry_.add("svc.run_memo", memoStats_);
-    registry_.add("svc.run_memo.bypassed", memoBypassStats_);
-    // Materialize the counter set so reports carry stable keys even
-    // before the first job.
-    for (const char *name :
-         {"submitted", "completed", "failed", "cancelled", "shed",
-          "cache_hits", "simulated"})
-        jobStats_.counter(name);
-    queueStats_.counter("peak_depth");
-    for (const char *name : {"hits", "misses", "evictions", "entries"})
-        memoStats_.counter(name);
-    for (int r = 0; r < apps::numMemoBypasses; ++r)
-        memoBypassStats_.counter(
-            apps::memoBypassName(static_cast<apps::MemoBypass>(r)));
-    for (const char *name : {"le_1ms", "le_10ms", "le_100ms", "le_1s",
-                             "le_10s", "gt_10s"})
-        latencyStats_.counter(name);
-    registry_.add("svc.resilience", resilienceStats_);
-    for (const char *name :
-         {"rejected", "shed", "retries", "retry_exhausted",
-          "injected_throws", "injected_stalls", "watchdog_trips",
-          "deadline_exceeded"})
-        resilienceStats_.counter(name);
-    if (!options_.remoteCache.peers.empty()) {
+    if (!options_.remoteCache.peers.empty())
         remote_ = std::make_unique<RemoteCacheClient>(
             options_.remoteCache);
-        registry_.add("svc.remote_cache", remoteStats_);
-        for (const char *name :
-             {"hits", "misses", "errors", "invalidated", "stores",
-              "store_failures"})
-            remoteStats_.counter(name);
-    }
 
     // The continuous-telemetry organs. All off by default so batch
     // behaviour (and its report bytes) are untouched; stitchd arms
@@ -157,7 +124,7 @@ JobEngine::submit(const JobSpec &spec)
         // Either way the outcome is typed, never a silent drop.
         const int lowestBand = std::prev(pendingPerBand_.end())->first;
         if (spec.priority <= lowestBand) {
-            resilienceStats_.inc("rejected");
+            ++counts_.rejected;
             throw OverloadedError(detail::formatMessage(
                 "queue full (", pendingJobs_, "/",
                 options_.maxQueueDepth,
@@ -180,8 +147,7 @@ JobEngine::submit(const JobSpec &spec)
             if (auto it = pendingPerBand_.find(lowestBand);
                 it != pendingPerBand_.end() && --it->second <= 0)
                 pendingPerBand_.erase(it);
-            jobStats_.inc("shed");
-            resilienceStats_.inc("shed");
+            ++counts_.shed;
             if (flight_) {
                 flight_->event(victim.result.traceId,
                                spanSink_.nowUs(), "shed",
@@ -219,11 +185,9 @@ JobEngine::submit(const JobSpec &spec)
     queue_.push({spec.priority, -id});
     ++pendingPerBand_[spec.priority];
     ++pendingJobs_;
-    jobStats_.inc("submitted");
-    queueStats_.set("peak_depth",
-                    std::max<std::uint64_t>(
-                        queueStats_.get("peak_depth"),
-                        static_cast<std::uint64_t>(pendingJobs_)));
+    ++counts_.submitted;
+    counts_.peakDepth = std::max<std::uint64_t>(
+        counts_.peakDepth, static_cast<std::uint64_t>(pendingJobs_));
     return id;
 }
 
@@ -247,7 +211,7 @@ JobEngine::cancel(int id)
     if (auto it = pendingPerBand_.find(job.spec.priority);
         it != pendingPerBand_.end() && --it->second <= 0)
         pendingPerBand_.erase(it);
-    jobStats_.inc("cancelled");
+    ++counts_.cancelled;
     return true;
 }
 
@@ -273,15 +237,6 @@ JobEngine::recordLatency(Job &job, std::uint64_t finishUs)
     if (job.reportUs > 0)
         stageHist_[static_cast<int>(Stage::Report)].record(
             job.reportUs);
-
-    const double ms = result.latencyMs;
-    const char *bucket = ms <= 1.0      ? "le_1ms"
-                         : ms <= 10.0   ? "le_10ms"
-                         : ms <= 100.0  ? "le_100ms"
-                         : ms <= 1e3    ? "le_1s"
-                         : ms <= 1e4    ? "le_10s"
-                                        : "gt_10s";
-    latencyStats_.inc(bucket);
 }
 
 void
@@ -293,8 +248,8 @@ JobEngine::finishCompleted(Job &job, const CacheEntry &entry,
     job.result.cached = cached;
     job.result.status = JobResult::Status::Completed;
     --runningJobs_;
-    jobStats_.inc("completed");
-    jobStats_.inc(cached ? "cache_hits" : "simulated");
+    ++counts_.completed;
+    ++(cached ? counts_.cacheHits : counts_.simulated);
     recordLatency(job, spanSink_.nowUs());
     // A healthy landing: the black box has nothing left to tell.
     if (flight_)
@@ -309,7 +264,7 @@ JobEngine::finishFailed(Job &job, const std::string &kind,
     job.result.errorKind = kind;
     job.result.status = JobResult::Status::Failed;
     --runningJobs_;
-    jobStats_.inc("failed");
+    ++counts_.failed;
     const std::uint64_t finishUs = spanSink_.nowUs();
     recordLatency(job, finishUs);
 
@@ -357,7 +312,7 @@ JobEngine::runSimulation(Job &job, const telem::TraceContext &ctx,
                 if (stall > 0) {
                     {
                         std::lock_guard<std::mutex> lock(mutex_);
-                        resilienceStats_.inc("injected_stalls");
+                        ++counts_.injectedStalls;
                     }
                     if (flight_)
                         flight_->event(
@@ -381,7 +336,7 @@ JobEngine::runSimulation(Job &job, const telem::TraceContext &ctx,
                 if (injector_.throwOnAttempt(job.id, attempt)) {
                     {
                         std::lock_guard<std::mutex> lock(mutex_);
-                        resilienceStats_.inc("injected_throws");
+                        ++counts_.injectedThrows;
                     }
                     if (flight_)
                         flight_->event(
@@ -432,7 +387,7 @@ JobEngine::runSimulation(Job &job, const telem::TraceContext &ctx,
                                               " backed off ", delay,
                                               " us"));
                 std::lock_guard<std::mutex> lock(mutex_);
-                resilienceStats_.inc("retries");
+                ++counts_.retries;
                 stageHist_[static_cast<int>(telem::Stage::Backoff)]
                     .record(delay);
                 continue;
@@ -442,13 +397,13 @@ JobEngine::runSimulation(Job &job, const telem::TraceContext &ctx,
             error = e.what();
             std::lock_guard<std::mutex> lock(mutex_);
             if (options_.retry.enabled())
-                resilienceStats_.inc("retry_exhausted");
+                ++counts_.retryExhausted;
         } catch (const fault::DeadlineExceededError &e) {
             failed = true;
             kind = "deadline";
             error = e.what();
             std::lock_guard<std::mutex> lock(mutex_);
-            resilienceStats_.inc("deadline_exceeded");
+            ++counts_.deadlineExceeded;
         } catch (const fault::ConfigError &e) {
             failed = true;
             kind = "config";
@@ -662,7 +617,7 @@ JobEngine::watchdogLoop()
                 continue;
             if (!job.abortRequested.exchange(
                     true, std::memory_order_relaxed)) {
-                resilienceStats_.inc("watchdog_trips");
+                ++counts_.watchdogTrips;
                 if (flight_)
                     flight_->event(
                         job.result.traceId, now, "watchdog_trip",
@@ -783,27 +738,83 @@ JobEngine::traceContext(int id) const
     return ctx;
 }
 
+std::vector<JobEngine::Metric>
+JobEngine::metricsLocked() const
+{
+    std::vector<Metric> metrics;
+    auto group = [&metrics](std::string prefix) {
+        return [&metrics, prefix = std::move(prefix)](
+                   const std::string &name, std::uint64_t value,
+                   StatKind kind = StatKind::Counter) {
+            metrics.push_back({prefix + name, value, kind});
+        };
+    };
+    auto jobs = group("jobs.");
+    jobs("submitted", counts_.submitted);
+    jobs("completed", counts_.completed);
+    jobs("failed", counts_.failed);
+    jobs("cancelled", counts_.cancelled);
+    jobs("shed", counts_.shed);
+    jobs("cache_hits", counts_.cacheHits);
+    jobs("simulated", counts_.simulated);
+    cache_.stats().forEachField(group("cache."));
+    runner_.runMemoStats().forEachField(group("run_memo."));
+    auto resilience = group("resilience.");
+    resilience("rejected", counts_.rejected);
+    resilience("shed", counts_.shed);
+    resilience("retries", counts_.retries);
+    resilience("retry_exhausted", counts_.retryExhausted);
+    resilience("injected_throws", counts_.injectedThrows);
+    resilience("injected_stalls", counts_.injectedStalls);
+    resilience("watchdog_trips", counts_.watchdogTrips);
+    resilience("deadline_exceeded", counts_.deadlineExceeded);
+    if (slo_) {
+        auto slo = group("slo.");
+        slo("violations", slo_->violations());
+        slo("alerts", slo_->alertsRaised());
+        slo("alerts_active", slo_->alertsActive(), StatKind::Gauge);
+    }
+    if (flight_)
+        group("flight.")("dumps", flight_->dumps());
+    if (remote_)
+        remote_->stats().forEachField(group("remote_cache."));
+    auto queue = group("queue.");
+    queue("depth", static_cast<std::uint64_t>(pendingJobs_),
+          StatKind::Gauge);
+    queue("peak_depth", counts_.peakDepth, StatKind::Gauge);
+    group("")("in_flight", static_cast<std::uint64_t>(runningJobs_),
+              StatKind::Gauge);
+    return metrics;
+}
+
 obs::Json
-JobEngine::latencyJson(bool includeSpanStages) const
+JobEngine::metricTree(const std::vector<Metric> &metrics,
+                      const std::string &prefix, bool flagsAsBool,
+                      obs::Json node)
+{
+    for (const Metric &m : metrics) {
+        if (m.path.compare(0, prefix.size(), prefix) != 0)
+            continue;
+        const std::string rest = m.path.substr(prefix.size());
+        const std::size_t dot = rest.find('.');
+        if (dot == std::string::npos) {
+            if (flagsAsBool && m.kind == StatKind::Flag)
+                node.set(rest, m.value != 0);
+            else
+                node.set(rest, m.value);
+        } else if (const std::string sub = rest.substr(0, dot);
+                   !node.has(sub)) {
+            node.set(sub, metricTree(metrics, prefix + sub + ".",
+                                     flagsAsBool));
+        }
+    }
+    return node;
+}
+
+obs::Json
+JobEngine::latencyJson() const
 {
     using telem::Stage;
-    // compile/stitch/simulate happen inside AppRunner and reach the
-    // engine only as spans; rebuild their histograms from the sink.
-    telem::Histogram fromSpans[telem::numStages];
-    if (includeSpanStages)
-        for (const telem::Span &span : spanSink_.snapshot())
-            switch (span.stage) {
-            case Stage::Compile:
-            case Stage::Stitch:
-            case Stage::Simulate:
-            case Stage::Respond:
-                fromSpans[static_cast<int>(span.stage)].record(
-                    span.durationUs());
-                break;
-            default:
-                break;
-            }
-
     obs::Json doc = obs::Json::object();
     auto add = [&](Stage stage, const telem::Histogram &hist,
                    const char *label = nullptr) {
@@ -813,21 +824,24 @@ JobEngine::latencyJson(bool includeSpanStages) const
         doc.set(label ? label : telem::stageName(stage),
                 hist.toJson());
     };
-    add(Stage::Queue, stageHist_[static_cast<int>(Stage::Queue)]);
-    add(Stage::CacheProbe,
-        stageHist_[static_cast<int>(Stage::CacheProbe)]);
-    add(Stage::Compile,
-        fromSpans[static_cast<int>(Stage::Compile)]);
-    add(Stage::Stitch, fromSpans[static_cast<int>(Stage::Stitch)]);
-    add(Stage::Simulate,
-        fromSpans[static_cast<int>(Stage::Simulate)]);
-    add(Stage::Report, stageHist_[static_cast<int>(Stage::Report)]);
-    add(Stage::Respond,
-        fromSpans[static_cast<int>(Stage::Respond)]);
-    add(Stage::Backoff,
-        stageHist_[static_cast<int>(Stage::Backoff)]);
-    add(Stage::Job, stageHist_[static_cast<int>(Stage::Job)],
-        "e2e");
+    // compile/stitch/simulate happen inside AppRunner and respond in
+    // the server: they reach the engine only as spans, which the
+    // sink folds into its stage histograms as they close.
+    auto engine = [&](Stage stage) {
+        add(stage, stageHist_[static_cast<int>(stage)]);
+    };
+    auto spans = [&](Stage stage) {
+        add(stage, spanSink_.stageHistogram(stage));
+    };
+    engine(Stage::Queue);
+    engine(Stage::CacheProbe);
+    spans(Stage::Compile);
+    spans(Stage::Stitch);
+    spans(Stage::Simulate);
+    engine(Stage::Report);
+    spans(Stage::Respond);
+    engine(Stage::Backoff);
+    add(Stage::Job, stageHist_[static_cast<int>(Stage::Job)], "e2e");
     return doc;
 }
 
@@ -836,87 +850,25 @@ JobEngine::metricsSnapshot() const
 {
     telem::MetricSample sample;
     sample.atUs = spanSink_.nowUs();
-    // The cache and the run memo keep their own locks; read them
-    // before taking ours.
-    const ResultCache::Stats cs = cache_.stats();
-    const apps::RunMemoStats ms = runner_.runMemoStats();
-
     std::lock_guard<std::mutex> lock(mutex_);
-    auto counter = [&](std::string name, std::uint64_t value) {
-        sample.counters.emplace_back(std::move(name), value);
-    };
-    for (const char *name :
-         {"submitted", "completed", "failed", "cancelled", "shed",
-          "cache_hits", "simulated"})
-        counter(std::string("jobs_") + name, jobStats_.get(name));
-    counter("cache_mem_hits", cs.memHits);
-    counter("cache_disk_hits", cs.diskHits);
-    counter("cache_misses", cs.misses);
-    counter("cache_stores", cs.stores);
-    counter("cache_invalidated", cs.invalidated);
-    counter("cache_evictions", cs.evictions);
-    counter("cache_write_failures", cs.writeFailures);
-    counter("cache_torn_writes", cs.tornWrites);
-    counter("cache_quarantined", cs.quarantined);
-    counter("cache_tmp_swept", cs.tmpSwept);
-    counter("run_memo_hits", ms.hits);
-    counter("run_memo_misses", ms.misses);
-    counter("run_memo_evictions", ms.evictions);
-    for (int r = 0; r < apps::numMemoBypasses; ++r)
-        counter(std::string("run_memo_bypassed_") +
-                    apps::memoBypassName(static_cast<apps::MemoBypass>(r)),
-                ms.bypassed[static_cast<std::size_t>(r)]);
-    for (const char *name :
-         {"rejected", "shed", "retries", "retry_exhausted",
-          "injected_throws", "injected_stalls", "watchdog_trips",
-          "deadline_exceeded"})
-        counter(std::string("resilience_") + name,
-                resilienceStats_.get(name));
-    if (slo_) {
-        counter("slo_violations", slo_->violations());
-        counter("slo_alerts", slo_->alertsRaised());
+    for (const Metric &m : metricsLocked()) {
+        std::string name = m.path;
+        std::replace(name.begin(), name.end(), '.', '_');
+        if (m.kind == StatKind::Counter)
+            sample.counters.emplace_back(std::move(name), m.value);
+        else
+            sample.gauges.emplace_back(std::move(name),
+                                       static_cast<double>(m.value));
     }
-    if (flight_)
-        counter("flight_dumps", flight_->dumps());
-    if (remote_) {
-        const RemoteCacheStats rs = remote_->stats();
-        counter("remote_cache_hits", rs.hits);
-        counter("remote_cache_misses", rs.misses);
-        counter("remote_cache_errors", rs.errors);
-        counter("remote_cache_invalidated", rs.invalidated);
-        counter("remote_cache_stores", rs.stores);
-        counter("remote_cache_store_failures", rs.storeFailures);
-        sample.gauges.emplace_back(
-            "remote_cache_pending",
-            static_cast<double>(rs.pending));
-    }
-
-    sample.gauges.emplace_back(
-        "queue_depth", static_cast<double>(pendingJobs_));
-    sample.gauges.emplace_back(
-        "in_flight", static_cast<double>(runningJobs_));
-    sample.gauges.emplace_back("cache_degraded",
-                               cs.degraded ? 1.0 : 0.0);
-    sample.gauges.emplace_back("run_memo_entries",
-                               static_cast<double>(ms.entries));
-    if (slo_)
-        sample.gauges.emplace_back(
-            "slo_alerts_active",
-            static_cast<double>(slo_->alertsActive()));
 
     using telem::Stage;
-    // Engine-recorded stages only: snapshotting must stay cheap, so
-    // no span-sink scan here (compile/stitch/simulate remain report
-    // material, not scrape material).
-    sample.histograms.emplace_back(
-        "queue", stageHist_[static_cast<int>(Stage::Queue)]);
-    sample.histograms.emplace_back(
-        "cache_probe",
-        stageHist_[static_cast<int>(Stage::CacheProbe)]);
-    sample.histograms.emplace_back(
-        "report", stageHist_[static_cast<int>(Stage::Report)]);
-    sample.histograms.emplace_back(
-        "backoff", stageHist_[static_cast<int>(Stage::Backoff)]);
+    // Engine-recorded stages only: compile/stitch/simulate stay
+    // report material, so a snapshot reads no sink state.
+    for (Stage stage : {Stage::Queue, Stage::CacheProbe, Stage::Report,
+                        Stage::Backoff})
+        sample.histograms.emplace_back(
+            telem::stageName(stage),
+            stageHist_[static_cast<int>(stage)]);
     sample.histograms.emplace_back(
         "e2e", stageHist_[static_cast<int>(Stage::Job)]);
     return sample;
@@ -966,57 +918,9 @@ JobEngine::flushRemoteCache()
         remote_->flush();
 }
 
-obs::Json
-JobEngine::serviceReportJson() const
+void
+JobEngine::setOrganSections(obs::Json &doc) const
 {
-    const apps::RunMemoStats ms = runner_.runMemoStats();
-    std::lock_guard<std::mutex> lock(mutex_);
-    // Mirror the cache's and the run memo's own counters into the
-    // registry groups so the report is one coherent tree.
-    const ResultCache::Stats cs = cache_.stats();
-    memoStats_.set("hits", ms.hits);
-    memoStats_.set("misses", ms.misses);
-    memoStats_.set("evictions", ms.evictions);
-    memoStats_.set("entries", ms.entries);
-    for (int r = 0; r < apps::numMemoBypasses; ++r)
-        memoBypassStats_.set(
-            apps::memoBypassName(static_cast<apps::MemoBypass>(r)),
-            ms.bypassed[static_cast<std::size_t>(r)]);
-    cacheStats_.set("mem_hits", cs.memHits);
-    cacheStats_.set("disk_hits", cs.diskHits);
-    cacheStats_.set("misses", cs.misses);
-    cacheStats_.set("stores", cs.stores);
-    cacheStats_.set("invalidated", cs.invalidated);
-    cacheStats_.set("evictions", cs.evictions);
-    cacheStats_.set("write_failures", cs.writeFailures);
-    cacheStats_.set("torn_writes", cs.tornWrites);
-    cacheStats_.set("quarantined", cs.quarantined);
-    cacheStats_.set("tmp_swept", cs.tmpSwept);
-    cacheStats_.set("degraded", cs.degraded ? 1 : 0);
-    queueStats_.set("depth",
-                    static_cast<std::uint64_t>(pendingJobs_));
-    if (remote_) {
-        const RemoteCacheStats rs = remote_->stats();
-        remoteStats_.set("hits", rs.hits);
-        remoteStats_.set("misses", rs.misses);
-        remoteStats_.set("errors", rs.errors);
-        remoteStats_.set("invalidated", rs.invalidated);
-        remoteStats_.set("stores", rs.stores);
-        remoteStats_.set("store_failures", rs.storeFailures);
-    }
-
-    obs::Json doc = obs::Json::object();
-    doc.set("schema", serviceReportSchema);
-    doc.set("version", serviceReportVersion);
-    doc.set("jobs", static_cast<std::uint64_t>(jobs_.size()));
-    doc.set("telemetry", options_.telemetry);
-    doc.set("counters", registry_.toJson(/*skipZero=*/false));
-    doc.set("latency", latencyJson(options_.telemetry));
-    if (options_.telemetry)
-        doc.set("spans", spanSink_.rollupJson());
-    // v3: provenance on every service report; the continuous-
-    // telemetry sections only when their organ is armed.
-    doc.set("build", obs::buildInfoJson());
     if (slo_) {
         obs::Json slo = obs::Json::object();
         slo.set("objectives", slo_->statusJson());
@@ -1029,89 +933,74 @@ JobEngine::serviceReportJson() const
         doc.set("series", collector_->series().toJson());
     if (flight_)
         doc.set("flight", flight_->statsJson());
+}
+
+obs::Json
+JobEngine::serviceReportJson() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    obs::Json doc = obs::Json::object();
+    doc.set("schema", serviceReportSchema);
+    doc.set("version", serviceReportVersion);
+    doc.set("jobs", static_cast<std::uint64_t>(jobs_.size()));
+    doc.set("telemetry", options_.telemetry);
+    obs::Json counters = obs::Json::object();
+    counters.set("svc", metricTree(metricsLocked(), "",
+                                   /*flagsAsBool=*/false));
+    doc.set("counters", std::move(counters));
+    doc.set("latency", latencyJson());
+    if (options_.telemetry)
+        doc.set("spans", spanSink_.rollupJson());
+    // v3: provenance on every service report; the continuous-
+    // telemetry sections only when their organ is armed.
+    doc.set("build", obs::buildInfoJson());
+    setOrganSections(doc);
+    return doc;
+}
+
+obs::Json
+JobEngine::livenessJson() const
+{
+    std::lock_guard<std::mutex> lock(mutex_);
+    obs::Json doc = obs::Json::object();
+    doc.set("queue_depth", static_cast<std::uint64_t>(pendingJobs_));
+    doc.set("in_flight", static_cast<std::uint64_t>(runningJobs_));
     return doc;
 }
 
 obs::Json
 JobEngine::introspectionJson() const
 {
+    const double hitRate = cache_.stats().hitRate();
+    obs::Json doc = livenessJson();
     std::lock_guard<std::mutex> lock(mutex_);
-
-    obs::Json doc = obs::Json::object();
-    std::uint64_t depth = 0;
+    const std::vector<Metric> metrics = metricsLocked();
     obs::Json bands = obs::Json::object();
-    for (const auto &[priority, count] : pendingPerBand_) {
-        depth += static_cast<std::uint64_t>(count);
+    for (const auto &[priority, count] : pendingPerBand_)
         bands.set(std::to_string(priority), count);
-    }
-    doc.set("queue_depth", depth);
-    doc.set("in_flight",
-            static_cast<std::uint64_t>(runningJobs_));
     doc.set("per_band_backlog", std::move(bands));
-
-    obs::Json jobs = obs::Json::object();
-    for (const char *name :
-         {"submitted", "completed", "failed", "cancelled", "shed",
-          "cache_hits", "simulated"})
-        jobs.set(name, jobStats_.get(name));
-    doc.set("jobs", std::move(jobs));
+    doc.set("jobs", metricTree(metrics, "jobs.", true));
 
     obs::Json admission = obs::Json::object();
     admission.set("max_queue_depth",
-                  static_cast<std::uint64_t>(
-                      options_.maxQueueDepth));
-    for (const char *name :
-         {"rejected", "shed", "retries", "retry_exhausted",
-          "injected_throws", "injected_stalls", "watchdog_trips",
-          "deadline_exceeded"})
-        admission.set(name, resilienceStats_.get(name));
-    doc.set("resilience", std::move(admission));
+                  static_cast<std::uint64_t>(options_.maxQueueDepth));
+    doc.set("resilience", metricTree(metrics, "resilience.", true,
+                                     std::move(admission)));
 
-    const ResultCache::Stats cs = cache_.stats();
-    obs::Json cache = obs::Json::object();
-    cache.set("mem_hits", cs.memHits);
-    cache.set("disk_hits", cs.diskHits);
-    cache.set("misses", cs.misses);
-    cache.set("stores", cs.stores);
-    cache.set("invalidated", cs.invalidated);
-    cache.set("evictions", cs.evictions);
-    cache.set("hit_rate", cs.hitRate());
-    cache.set("write_failures", cs.writeFailures);
-    cache.set("torn_writes", cs.tornWrites);
-    cache.set("quarantined", cs.quarantined);
-    cache.set("tmp_swept", cs.tmpSwept);
-    cache.set("degraded", cs.degraded);
+    obs::Json cache = metricTree(metrics, "cache.", true);
+    cache.set("hit_rate", hitRate);
     doc.set("cache", std::move(cache));
 
     if (remote_) {
-        const RemoteCacheStats rs = remote_->stats();
-        obs::Json remote = obs::Json::object();
-        remote.set("peers", static_cast<std::uint64_t>(
-                                remote_->peers().size()));
-        remote.set("hits", rs.hits);
-        remote.set("misses", rs.misses);
-        remote.set("errors", rs.errors);
-        remote.set("invalidated", rs.invalidated);
-        remote.set("stores", rs.stores);
-        remote.set("store_failures", rs.storeFailures);
-        remote.set("pending", rs.pending);
-        doc.set("remote_cache", std::move(remote));
+        obs::Json peers = obs::Json::object();
+        peers.set("peers", static_cast<std::uint64_t>(
+                               remote_->peers().size()));
+        doc.set("remote_cache", metricTree(metrics, "remote_cache.",
+                                           true, std::move(peers)));
     }
 
-    doc.set("latency", latencyJson(options_.telemetry));
-
-    if (slo_) {
-        obs::Json slo = obs::Json::object();
-        slo.set("objectives", slo_->statusJson());
-        slo.set("violations", slo_->violations());
-        slo.set("alerts_raised", slo_->alertsRaised());
-        slo.set("alerts_active", slo_->alertsActive());
-        doc.set("slo", std::move(slo));
-    }
-    if (collector_)
-        doc.set("series", collector_->series().toJson());
-    if (flight_)
-        doc.set("flight", flight_->statsJson());
+    doc.set("latency", latencyJson());
+    setOrganSections(doc);
 
     obs::Json errors = obs::Json::array();
     for (const ErrorRecord &record : errorRing_) {

@@ -34,6 +34,15 @@
  * and a JSONL event log. With telemetry off nothing observable
  * changes: per-job reports are byte-identical either way.
  *
+ * Metrics come from one list (DESIGN.md §14.2). ResultCache::Stats,
+ * apps::RunMemoStats and RemoteCacheStats list their fields once
+ * (forEachField); metricsLocked() lists the engine's own job,
+ * resilience, queue, SLO and flight values and concatenates all of
+ * them into `<group>.<field>` paths. The report's counter tree, the
+ * introspection groups and the MetricSample are all rendered from
+ * that list, so a leaf `svc.a.b` and a series `a_b` cannot drift
+ * apart.
+ *
  * Resilience (this PR's layer; see DESIGN.md §13):
  *
  *  - Admission control: EngineOptions::maxQueueDepth bounds the
@@ -76,7 +85,6 @@
 #include "apps/app_runner.hh"
 #include "common/stats.hh"
 #include "obs/json.hh"
-#include "obs/registry.hh"
 #include "svc/cache.hh"
 #include "svc/chaos.hh"
 #include "svc/job.hh"
@@ -269,25 +277,26 @@ class JobEngine
     void flushRemoteCache();
 
     /**
-     * The service-level counters as a versioned document (v2):
-     * submitted/completed/failed/cancelled, cache attribution
-     * (cache_hits vs simulated), queue depth, the per-stage latency
-     * histograms (queue / cache_probe / compile / stitch / simulate /
-     * report / e2e with p50/p90/p99/max) and — with telemetry on —
-     * the span rollup.
+     * The service-level counters as a versioned document (v3):
+     * the `counters.svc` tree of every engine metric, the per-stage
+     * latency histograms (queue / cache_probe / compile / stitch /
+     * simulate / report / e2e with p50/p90/p99/max), build provenance,
+     * the continuous-telemetry sections when armed and — with
+     * telemetry on — the span rollup.
      */
     obs::Json serviceReportJson() const;
 
     /**
      * Live state for the introspection endpoints: queue depth,
-     * in-flight jobs, per-priority-band backlog, cache hit/miss/evict
-     * rates and the last-N failed-job ring buffer.
+     * in-flight jobs, per-priority-band backlog, the job, resilience,
+     * cache and remote-tier metric groups, latency quantiles and the
+     * last-N failed-job ring buffer.
      */
     obs::Json introspectionJson() const;
 
-    /** The engine's counter registry (svc.jobs, svc.cache, svc.queue,
-     *  svc.latency) for embedding in larger dumps. */
-    const obs::Registry &registry() const { return registry_; }
+    /** Liveness only, under one engine lock: `queue_depth` and
+     *  `in_flight` (the healthz probe's whole cost). */
+    obs::Json livenessJson() const;
 
     /** True when request-scoped span collection is on. */
     bool telemetryEnabled() const { return options_.telemetry; }
@@ -403,7 +412,32 @@ class JobEngine
                       const std::string &message);
     void recordLatency(Job &job, std::uint64_t finishUs);
     telem::TraceContext contextFor(const Job &job, int worker) const;
-    obs::Json latencyJson(bool includeSpanStages) const;
+
+    /** One engine metric: report-tree leaf `svc.<path>` and
+     *  MetricSample series `<path>` with each '.' as '_'. */
+    struct Metric
+    {
+        std::string path;
+        std::uint64_t value = 0;
+        StatKind kind = StatKind::Counter;
+    };
+
+    /** Every engine counter and gauge, in one list — the one source
+     *  of the report tree, the introspection groups and the sample
+     *  (DESIGN.md §14.2). Called with mutex_ held. */
+    std::vector<Metric> metricsLocked() const;
+
+    /** The metrics under `prefix` as a nested object, appended to
+     *  `node`; flags render as bools when `flagsAsBool` (the
+     *  introspection spelling). */
+    static obs::Json metricTree(const std::vector<Metric> &metrics,
+                                const std::string &prefix,
+                                bool flagsAsBool,
+                                obs::Json node = obs::Json::object());
+
+    obs::Json latencyJson() const;
+    /** The slo / series / flight sections of the armed organs. */
+    void setOrganSections(obs::Json &doc) const;
 
     EngineOptions options_;
     ServiceFaultInjector injector_; ///< stateless; shared with cache_
@@ -448,20 +482,27 @@ class JobEngine
     telem::SpanSink spanSink_;
     std::uint64_t traceSeed_ = 0;
 
-    StatGroup jobStats_; ///< svc.jobs
-    /** svc.cache / svc.queue / svc.run_memo(.bypassed): refreshed
-     *  from live state inside the const serviceReportJson(), hence
-     *  mutable. */
-    mutable StatGroup cacheStats_;
-    mutable StatGroup queueStats_;
-    mutable StatGroup memoStats_;
-    mutable StatGroup memoBypassStats_;
-    StatGroup latencyStats_;    ///< svc.latency buckets
-    StatGroup resilienceStats_; ///< svc.resilience (admission/retry)
-    /** svc.remote_cache — registered only in fleet mode so
-     *  single-shard reports keep their exact shape. */
-    mutable StatGroup remoteStats_;
-    obs::Registry registry_;
+    /** The engine's own job and resilience counters (guarded by
+     *  mutex_); metricsLocked() names them. */
+    struct Counters
+    {
+        std::uint64_t submitted = 0;
+        std::uint64_t completed = 0;
+        std::uint64_t failed = 0;
+        std::uint64_t cancelled = 0;
+        std::uint64_t shed = 0; ///< both jobs.shed and resilience.shed
+        std::uint64_t cacheHits = 0;
+        std::uint64_t simulated = 0;
+        std::uint64_t rejected = 0;
+        std::uint64_t retries = 0;
+        std::uint64_t retryExhausted = 0;
+        std::uint64_t injectedThrows = 0;
+        std::uint64_t injectedStalls = 0;
+        std::uint64_t watchdogTrips = 0;
+        std::uint64_t deadlineExceeded = 0;
+        std::uint64_t peakDepth = 0; ///< high-water mark of pendingJobs_
+    };
+    Counters counts_;
 
     /** Continuous-telemetry organs (all optional; see
      *  EngineOptions). Own locks each — never taken under mutex_

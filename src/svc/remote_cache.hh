@@ -96,6 +96,20 @@ struct RemoteCacheStats
     std::uint64_t stores = 0;     ///< successful per-peer cacheputs
     std::uint64_t storeFailures = 0; ///< per-peer cacheputs lost
     std::uint64_t pending = 0;    ///< write-behind backlog (gauge)
+
+    /** Every field once (see StatKind). */
+    template <class Fn>
+    void
+    forEachField(Fn &&fn) const
+    {
+        fn("hits", hits, StatKind::Counter);
+        fn("misses", misses, StatKind::Counter);
+        fn("errors", errors, StatKind::Counter);
+        fn("invalidated", invalidated, StatKind::Counter);
+        fn("stores", stores, StatKind::Counter);
+        fn("store_failures", storeFailures, StatKind::Counter);
+        fn("pending", pending, StatKind::Gauge);
+    }
 };
 
 /** Read-through / write-behind client over the cacheget/cacheput

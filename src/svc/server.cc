@@ -268,14 +268,14 @@ introspectionResponse(JobEngine &engine, const std::string &cmd,
     };
 
     if (cmd == "healthz") {
-        // Liveness only: answered from two counters, cheap enough to
-        // poll tightly.
-        obs::Json live = engine.introspectionJson();
+        // Liveness only: two values read under one engine lock, so a
+        // tight poll costs the same however long the daemon has run.
         obs::Json doc = obs::Json::object();
         stamp(doc, "stitchd-healthz");
         doc.set("status", "ok");
-        doc.set("queue_depth", live.get("queue_depth"));
-        doc.set("in_flight", live.get("in_flight"));
+        const obs::Json live = engine.livenessJson();
+        for (const auto &[key, value] : live.items())
+            doc.set(key, value);
         doc.set("build", obs::buildInfoJson());
         return doc;
     }

@@ -1,7 +1,6 @@
 #include "telem/span.hh"
 
 #include <algorithm>
-#include <map>
 
 #include "common/logging.hh"
 #include "common/table.hh"
@@ -66,6 +65,8 @@ SpanSink::record(const Span &span)
     {
         std::lock_guard<std::mutex> lock(mutex_);
         spans_.push_back(span);
+        stageHist_[static_cast<int>(span.stage)].record(
+            span.durationUs());
     }
     if (observer_)
         observer_(span);
@@ -91,11 +92,11 @@ SpanSink::snapshot() const
     return spans_;
 }
 
-void
-SpanSink::clear()
+Histogram
+SpanSink::stageHistogram(Stage stage) const
 {
     std::lock_guard<std::mutex> lock(mutex_);
-    spans_.clear();
+    return stageHist_[static_cast<int>(stage)];
 }
 
 void
@@ -165,21 +166,16 @@ SpanSink::writeJsonl(const std::string &path) const
 obs::Json
 SpanSink::rollupJson() const
 {
-    std::uint64_t counts[numStages] = {};
-    std::uint64_t totalUs[numStages] = {};
-    for (const Span &span : snapshot()) {
-        const int s = static_cast<int>(span.stage);
-        ++counts[s];
-        totalUs[s] += span.durationUs();
-    }
+    std::lock_guard<std::mutex> lock(mutex_);
     obs::Json doc = obs::Json::object();
     for (int s = 0; s < numStages; ++s) {
-        if (counts[s] == 0)
+        const Histogram &hist = stageHist_[s];
+        if (hist.count() == 0)
             continue;
         obs::Json entry = obs::Json::object();
-        entry.set("spans", counts[s]);
+        entry.set("spans", hist.count());
         entry.set("total_ms",
-                  static_cast<double>(totalUs[s]) / 1000.0);
+                  static_cast<double>(hist.sum()) / 1000.0);
         doc.set(stageName(static_cast<Stage>(s)), std::move(entry));
     }
     return doc;

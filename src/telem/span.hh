@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "obs/json.hh"
+#include "telem/histogram.hh"
 
 namespace stitch::telem
 {
@@ -88,7 +89,8 @@ class SpanSink
     /** Microseconds since the sink's epoch (monotonic clock). */
     std::uint64_t nowUs() const;
 
-    /** Append one closed span (locks; call at span close only). */
+    /** Append one closed span and fold its duration into its stage's
+     *  histogram (one lock; call at span close only). */
     void record(const Span &span);
 
     /**
@@ -101,7 +103,10 @@ class SpanSink
 
     std::size_t count() const;
     std::vector<Span> snapshot() const;
-    void clear();
+
+    /** Durations of every `stage` span recorded so far, folded as
+     *  each closed — reading it never rescans the spans. */
+    Histogram stageHistogram(Stage stage) const;
 
     /**
      * Write every recorded span as a Chrome trace through the
@@ -115,12 +120,14 @@ class SpanSink
     /** One JSON object per span, one per line (structured log). */
     void writeJsonl(const std::string &path) const;
 
-    /** Per-stage rollup: span count and total duration (ms). */
+    /** Per-stage rollup: span count and total duration (ms), read
+     *  off the stage histograms in O(stages). */
     obs::Json rollupJson() const;
 
   private:
     mutable std::mutex mutex_;
     std::vector<Span> spans_;
+    Histogram stageHist_[numStages];
     std::function<void(const Span &)> observer_;
     std::chrono::steady_clock::time_point epoch_;
 };

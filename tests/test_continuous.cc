@@ -10,6 +10,8 @@
  */
 
 #include <fstream>
+#include <map>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -603,6 +605,123 @@ TEST(ContinuousEngine, ProtocolFailuresGetSyntheticBlackBoxes)
     engine.recordProtocolFailure("torn frame from 127.0.0.1");
     engine.recordProtocolFailure("garbage length prefix");
     EXPECT_EQ(engine.flightRecorder()->dumps(), 2u);
+}
+
+/** Leaves of a report counter subtree, keyed by the §14.2 series
+ *  name: the path below `svc`, '.' joined as '_'. */
+void
+flattenCounters(const obs::Json &node, const std::string &prefix,
+                std::map<std::string, std::uint64_t> &out)
+{
+    for (const auto &[key, value] : node.items()) {
+        const std::string name = prefix.empty() ? key : prefix + "_" + key;
+        if (value.isObject()) {
+            flattenCounters(value, name, out);
+            continue;
+        }
+        EXPECT_EQ(value.kind(), obs::Json::Kind::Int) << name;
+        EXPECT_TRUE(out.emplace(name, value.asUint()).second) << name;
+    }
+}
+
+TEST(ContinuousEngine, ReportTreeAndSampleNameEachOther)
+{
+    // DESIGN.md §14.2: every leaf of counters.svc is exactly one
+    // MetricSample series (svc.a.b -> a_b) with an equal value, and
+    // every series is a leaf. Arm every organ that adds metrics —
+    // telemetry, a remote tier, SLOs, the flight recorder — and fail
+    // one job so the failure paths count too.
+    JobEngine peer{EngineOptions{}};
+    Server peerServer(peer, /*port=*/0);
+    std::thread serving([&] { peerServer.serve(); });
+
+    EngineOptions options;
+    options.telemetry = true;
+    options.remoteCache.peers = {"127.0.0.1:" +
+                                 std::to_string(peerServer.port())};
+    options.remoteCache.writeBehind = false;
+    options.slo = telem::SloConfig::defaults();
+    options.flightDir = ::testing::TempDir() + "stitch_flight_names";
+    JobEngine engine(options);
+
+    JobSpec doomed = cheapSpec();
+    doomed.app = "APP3-svm-enc";
+    doomed.mode = apps::AppMode::Stitch;
+    for (const auto &link : fault::allSnocLinks())
+        if (link.name() == "t9-t10")
+            doomed.faults = fault::FaultPlan::linkFailure(link);
+    doomed.healthFromFaults = false; // routes over the dead link
+    engine.submit(cheapSpec());
+    const int bad = engine.submit(doomed);
+    engine.submit(cheapSpec()); // duplicate: a memory hit
+    engine.run();
+    engine.flushRemoteCache();
+    peerServer.stop();
+    serving.join();
+    ASSERT_EQ(engine.result(bad).status, JobResult::Status::Failed);
+
+    std::map<std::string, std::uint64_t> leaves;
+    flattenCounters(
+        engine.serviceReportJson().get("counters").get("svc"), "",
+        leaves);
+    const telem::MetricSample sample = engine.metricsSnapshot();
+    std::map<std::string, double> series;
+    for (const auto &[name, value] : sample.counters)
+        EXPECT_TRUE(
+            series.emplace(name, static_cast<double>(value)).second)
+            << name;
+    for (const auto &[name, value] : sample.gauges)
+        EXPECT_TRUE(series.emplace(name, value).second) << name;
+
+    for (const auto &[name, value] : leaves) {
+        auto it = series.find(name);
+        if (it == series.end())
+            ADD_FAILURE() << "leaf without a series: " << name;
+        else
+            EXPECT_EQ(it->second, static_cast<double>(value)) << name;
+    }
+    for (const auto &[name, value] : series)
+        EXPECT_TRUE(leaves.count(name)) << "series without a leaf: "
+                                        << name;
+    // The failure, the hit and the remote traffic all landed.
+    EXPECT_EQ(leaves["jobs_failed"], 1u);
+    EXPECT_EQ(leaves["jobs_cache_hits"], 1u);
+    EXPECT_GE(leaves["remote_cache_misses"], 1u);
+    EXPECT_EQ(leaves["flight_dumps"], 1u);
+    EXPECT_EQ(leaves["queue_peak_depth"], 3u);
+}
+
+TEST(ContinuousEngine, HealthzIsLivenessOnly)
+{
+    JobEngine engine{EngineOptions{}};
+    engine.submit(cheapSpec());
+    engine.submit(cheapSpec(3));
+
+    auto keysOf = [](const obs::Json &doc) {
+        std::vector<std::string> keys;
+        for (const auto &[key, value] : doc.items())
+            keys.push_back(key);
+        return keys;
+    };
+    auto agree = [&](std::uint64_t depth, std::uint64_t inFlight) {
+        const obs::Json healthz =
+            introspectionResponse(engine, "healthz", 1.5, 4);
+        EXPECT_EQ(keysOf(healthz),
+                  (std::vector<std::string>{
+                      "schema", "version", "uptime_s", "served",
+                      "status", "queue_depth", "in_flight", "build"}));
+        const obs::Json metrics =
+            introspectionResponse(engine, "metrics", 1.5, 4);
+        for (const char *key : {"queue_depth", "in_flight"})
+            EXPECT_EQ(healthz.get(key).asUint(),
+                      metrics.get(key).asUint())
+                << key;
+        EXPECT_EQ(healthz.get("queue_depth").asUint(), depth);
+        EXPECT_EQ(healthz.get("in_flight").asUint(), inFlight);
+    };
+    agree(/*depth=*/2, /*inFlight=*/0);
+    engine.run();
+    agree(/*depth=*/0, /*inFlight=*/0);
 }
 
 } // namespace

@@ -49,3 +49,10 @@ for bench in ('table3_accel_area', 'table4_noc_timing',
 if(NOT rc EQUAL 0)
     message(FATAL_ERROR "trajectory aggregate failed validation")
 endif()
+
+# A flag the bench does not use exits 2 naming it, never ignored.
+execute_process(COMMAND "${TABLE3}" "--jsn=typo" RESULT_VARIABLE rc
+                OUTPUT_QUIET ERROR_VARIABLE err)
+if(NOT rc EQUAL 2 OR NOT err MATCHES "--jsn=typo")
+    message(FATAL_ERROR "table3_accel_area --jsn=typo: ${rc} ${err}")
+endif()
