@@ -42,22 +42,6 @@ namespace
 
 constexpr int kShards = 3;
 
-/** One shard request, answered by the pure server helpers — the
- *  same dispatch the engine-mode serve loop performs. */
-obs::Json
-shardDispatch(svc::JobEngine &engine, const svc::Server &server,
-              const obs::Json &doc)
-{
-    if (doc.has("cmd")) {
-        const std::string cmd = doc.get("cmd").asString();
-        if (cmd == "cacheget" || cmd == "cacheput")
-            return svc::cacheVerbResponse(engine, doc);
-        return svc::introspectionResponse(
-            engine, cmd, server.uptimeS(), server.servedCount());
-    }
-    return svc::handleRequest(engine, doc);
-}
-
 /** What one fleet replay measured. */
 struct FleetRun
 {
@@ -68,7 +52,7 @@ struct FleetRun
 FleetRun
 runFleet(const fleet::LoadMix &mix)
 {
-    // Handler-mode servers bind first (so every peer port is known),
+    // Frame-handler servers bind first (so every peer port is known),
     // then the engines are constructed *with* their peer lists, then
     // the serve loops start — the handlers only dereference the
     // engine pointers at request time.
@@ -77,13 +61,15 @@ runFleet(const fleet::LoadMix &mix)
     servers.reserve(kShards);
     for (int i = 0; i < kShards; ++i)
         servers.push_back(std::make_unique<svc::Server>(
-            [&engines, &servers, i](const obs::Json &doc) {
-                return shardDispatch(*engines[i], *servers[i], doc);
+            [&engines, &servers, i](const svc::Frame &frame,
+                                    const svc::Reply &reply) {
+                svc::answerFrame(*engines[i], frame,
+                                 servers[i]->uptimeS(),
+                                 servers[i]->servedCount(), reply);
             }));
 
     for (int i = 0; i < kShards; ++i) {
         svc::EngineOptions options;
-        options.remoteCache.writeBehind = false; // deterministic
         for (int p = 0; p < kShards; ++p)
             if (p != i)
                 options.remoteCache.peers.push_back(
@@ -112,6 +98,8 @@ runFleet(const fleet::LoadMix &mix)
 
     front.stop();
     fronting.join();
+    for (auto &engine : engines)
+        engine->flushRemoteCache(); // replicate while peers listen
     for (auto &server : servers)
         server->stop();
     for (auto &thread : serving)

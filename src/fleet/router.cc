@@ -1,6 +1,7 @@
 #include "fleet/router.hh"
 
 #include <chrono>
+#include <optional>
 #include <thread>
 
 #include "common/logging.hh"
@@ -17,19 +18,56 @@ namespace stitch::fleet
 namespace
 {
 
-void
-stamp(obs::Json &doc, const char *schema)
+/** The shards' fleetz answers folded with the telemetry merge
+ *  algebra: counters and histogram buckets add, windows align by
+ *  seq. Quantiles are computed on the merged population, never
+ *  averaged across shards. */
+struct FleetFold
 {
-    doc.set("schema", schema);
-    doc.set("version", routerSchemaVersion);
+    telem::MetricSample merged;
+    telem::TimeSeries series;
+    bool any = false; ///< some shard contributed a sample
+
+    /** Fold in one shard's answer; returns its sample, if any. */
+    std::optional<telem::MetricSample>
+    add(const obs::Json &answer)
+    {
+        if (!answer.isObject() || !answer.has("sample"))
+            return std::nullopt;
+        telem::MetricSample sample =
+            telem::MetricSample::fromWireJson(answer.get("sample"));
+        merged.merge(sample); // an empty sample is merge's identity
+        any = true;
+        if (answer.has("windows")) {
+            const obs::Json &windows = answer.get("windows");
+            telem::TimeSeries shardSeries;
+            for (std::size_t i = 0; i < windows.size(); ++i)
+                shardSeries.push(
+                    telem::Window::fromWireJson(windows.at(i)));
+            series.merge(shardSeries);
+        }
+        return sample;
+    }
+};
+
+/** Every counter and gauge of `sample`, under its series name. */
+void
+setSeries(obs::Json &doc, const telem::MetricSample &sample)
+{
+    for (const auto &[name, value] : sample.counters)
+        doc.set(name, value);
+    for (const auto &[name, value] : sample.gauges)
+        doc.set(name, value);
 }
 
-obs::Json
-cmdRequest(const char *cmd)
+/** `name`'s counter, or nullopt when the sample lacks the series. */
+std::optional<std::uint64_t>
+findCounter(const telem::MetricSample &sample, const char *name)
 {
-    obs::Json doc = obs::Json::object();
-    doc.set("cmd", cmd);
-    return doc;
+    for (const auto &[key, value] : sample.counters)
+        if (key == name)
+            return value;
+    return std::nullopt;
 }
 
 } // namespace
@@ -151,11 +189,7 @@ Router::routeJob(const obs::Json &request)
                 lastError = e.what();
                 {
                     std::lock_guard<std::mutex> lock(mutex_);
-                    shard.dead = true;
-                    shard.deadSince =
-                        std::chrono::steady_clock::now();
-                    ++shard.failures;
-                    ++stats_.shardFailures;
+                    recordOutcome(shard, false);
                 }
                 if (attempt < maxAttempts &&
                     options_.retry.enabled()) {
@@ -171,7 +205,7 @@ Router::routeJob(const obs::Json &request)
                 // The shard answered — it is alive, even if the
                 // answer is a typed error the client must handle.
                 std::lock_guard<std::mutex> lock(mutex_);
-                shard.dead = false;
+                recordOutcome(shard, true);
                 ++shard.routed;
                 ++stats_.jobsRouted;
             }
@@ -195,131 +229,26 @@ Router::routeJob(const obs::Json &request)
 obs::Json
 Router::healthzJson()
 {
-    obs::Json doc = obs::Json::object();
-    stamp(doc, routerHealthzSchema);
+    obs::Json doc = askShards(
+        "healthz", routerHealthzSchema,
+        [](const obs::Json &answer, obs::Json &row) {
+            if (answer.has("uptime_s"))
+                row.set("uptime_s", answer.get("uptime_s").asDouble());
+        });
     doc.set("status", "ok");
-    doc.set("build", obs::buildInfoJson());
-    const auto uptime = std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - start_);
-    doc.set("uptime_s", uptime.count());
-
-    obs::Json shardsJson = obs::Json::array();
-    std::uint64_t healthy = 0;
-    const obs::Json probe = cmdRequest("healthz");
-    for (Shard &shard : shards_) {
-        obs::Json entry = obs::Json::object();
-        entry.set("name", shard.endpoint.name());
-        bool alive = false;
-        try {
-            obs::Json resp = svc::requestReport(
-                shard.endpoint.host, shard.endpoint.port, probe,
-                /*chaos=*/nullptr, /*requestIndex=*/0,
-                options_.shardTimeoutMs);
-            alive = resp.isObject() && resp.has("status") &&
-                    resp.get("status").asString() == "ok";
-            if (alive && resp.has("uptime_s"))
-                entry.set("uptime_s",
-                          resp.get("uptime_s").asDouble());
-        } catch (const fault::ConfigError &) {
-            alive = false;
-        }
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            shard.dead = !alive;
-            if (!alive)
-                shard.deadSince = std::chrono::steady_clock::now();
-            entry.set("healthy", alive);
-            entry.set("routed", shard.routed);
-            entry.set("failures", shard.failures);
-        }
-        if (alive)
-            ++healthy;
-        shardsJson.push(std::move(entry));
-    }
-    doc.set("shards", std::move(shardsJson));
-    doc.set("healthy_shards", healthy);
-    doc.set("total_shards",
-            static_cast<std::uint64_t>(shards_.size()));
     return doc;
 }
 
 obs::Json
 Router::statzJson()
 {
-    obs::Json doc = obs::Json::object();
-    stamp(doc, routerStatzSchema);
-    doc.set("build", obs::buildInfoJson());
-    const auto uptime = std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - start_);
-    doc.set("uptime_s", uptime.count());
-
-    // Fold every live shard's lossless fleetz snapshot with the
-    // telemetry merge algebra: counters and histogram buckets add,
-    // windows align by seq. Quantiles are computed on the *merged*
-    // population, never averaged across shards.
-    telem::MetricSample merged;
-    telem::TimeSeries series;
-    bool haveSample = false;
-    std::uint64_t healthy = 0;
-    obs::Json shardsJson = obs::Json::array();
-    const obs::Json probe = cmdRequest("fleetz");
-    for (Shard &shard : shards_) {
-        obs::Json entry = obs::Json::object();
-        entry.set("name", shard.endpoint.name());
-        bool alive = false;
-        try {
-            obs::Json resp = svc::requestReport(
-                shard.endpoint.host, shard.endpoint.port, probe,
-                /*chaos=*/nullptr, /*requestIndex=*/0,
-                options_.shardTimeoutMs);
-            if (resp.isObject() && resp.has("sample")) {
-                telem::MetricSample sample =
-                    telem::MetricSample::fromWireJson(
-                        resp.get("sample"));
-                entry.set("jobs_completed",
-                          sample.counter("jobs_completed"));
-                entry.set("jobs_failed",
-                          sample.counter("jobs_failed"));
-                entry.set("jobs_cache_hits",
-                          sample.counter("jobs_cache_hits"));
-                entry.set("queue_depth",
-                          sample.gauge("queue_depth"));
-                if (haveSample) {
-                    merged.merge(sample);
-                } else {
-                    merged = std::move(sample);
-                    haveSample = true;
-                }
-                if (resp.has("windows")) {
-                    const obs::Json &windows =
-                        resp.get("windows");
-                    telem::TimeSeries shardSeries;
-                    for (std::size_t i = 0; i < windows.size();
-                         ++i)
-                        shardSeries.push(
-                            telem::Window::fromWireJson(
-                                windows.at(i)));
-                    series.merge(shardSeries);
-                }
-                alive = true;
-            }
-        } catch (const fault::ConfigError &) {
-            alive = false;
-        }
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            shard.dead = !alive;
-            if (!alive)
-                shard.deadSince = std::chrono::steady_clock::now();
-            entry.set("healthy", alive);
-            entry.set("routed", shard.routed);
-            entry.set("failures", shard.failures);
-        }
-        if (alive)
-            ++healthy;
-        shardsJson.push(std::move(entry));
-    }
-    doc.set("shards", std::move(shardsJson));
+    FleetFold fold;
+    obs::Json doc = askShards(
+        "fleetz", routerStatzSchema,
+        [&fold](const obs::Json &answer, obs::Json &row) {
+            if (const auto sample = fold.add(answer))
+                setSeries(row, *sample);
+        });
 
     obs::Json router = obs::Json::object();
     {
@@ -335,31 +264,25 @@ Router::statzJson()
     doc.set("router", std::move(router));
 
     obs::Json fleet = obs::Json::object();
-    fleet.set("healthy_shards", healthy);
-    fleet.set("total_shards",
-              static_cast<std::uint64_t>(shards_.size()));
-    if (haveSample) {
-        const std::uint64_t completed =
-            merged.counter("jobs_completed");
-        const std::uint64_t hits =
-            merged.counter("jobs_cache_hits");
-        fleet.set("jobs_submitted",
-                  merged.counter("jobs_submitted"));
-        fleet.set("jobs_completed", completed);
-        fleet.set("jobs_failed", merged.counter("jobs_failed"));
-        fleet.set("jobs_shed", merged.counter("jobs_shed"));
-        fleet.set("jobs_cache_hits", hits);
-        fleet.set("remote_cache_hits",
-                  merged.counter("remote_cache_hits"));
-        fleet.set("remote_cache_errors",
-                  merged.counter("remote_cache_errors"));
-        fleet.set("fleet_hit_rate",
-                  completed > 0 ? static_cast<double>(hits) /
-                                      static_cast<double>(completed)
-                                : 0.0);
-        fleet.set("queue_depth", merged.gauge("queue_depth"));
+    fleet.set("healthy_shards", doc.get("healthy_shards"));
+    fleet.set("total_shards", doc.get("total_shards"));
+    if (fold.any) {
+        const telem::MetricSample &merged = fold.merged;
+        setSeries(fleet, merged);
+        // The derived fields name their inputs; a missing input
+        // drops the field rather than deriving from a 0.
+        const auto completed =
+            findCounter(merged, telem::series::jobsCompleted);
+        const auto hits =
+            findCounter(merged, telem::series::jobsCacheHits);
+        if (completed && hits)
+            fleet.set("fleet_hit_rate",
+                      *completed > 0
+                          ? static_cast<double>(*hits) /
+                                static_cast<double>(*completed)
+                          : 0.0);
         if (const telem::Histogram *e2e =
-                merged.histogram("e2e")) {
+                merged.histogram(telem::series::e2e)) {
             fleet.set("e2e_p50_ms",
                       static_cast<double>(e2e->quantile(0.5)) /
                           1000.0);
@@ -368,7 +291,7 @@ Router::statzJson()
                           1000.0);
         }
         fleet.set("sample", merged.toWireJson());
-        fleet.set("series", series.toJson());
+        fleet.set("series", fold.series.toJson());
     }
     doc.set("fleet", std::move(fleet));
     return doc;
@@ -379,46 +302,84 @@ Router::scrapeJson()
 {
     // One exposition for the whole fleet: merge every live shard's
     // sample, then render it exactly as a single stitchd would.
-    telem::MetricSample merged;
-    bool haveSample = false;
-    const obs::Json probe = cmdRequest("fleetz");
-    for (Shard &shard : shards_) {
-        try {
-            obs::Json resp = svc::requestReport(
-                shard.endpoint.host, shard.endpoint.port, probe,
-                /*chaos=*/nullptr, /*requestIndex=*/0,
-                options_.shardTimeoutMs);
-            if (!resp.isObject() || !resp.has("sample"))
-                continue;
-            telem::MetricSample sample =
-                telem::MetricSample::fromWireJson(
-                    resp.get("sample"));
-            if (haveSample) {
-                merged.merge(sample);
-            } else {
-                merged = std::move(sample);
-                haveSample = true;
-            }
-        } catch (const fault::ConfigError &) {
-            continue; // dead shards just drop out of the scrape
-        }
-    }
+    FleetFold fold;
+    obs::Json doc = askShards(
+        "fleetz", "stitchrouter-scrape",
+        [&fold](const obs::Json &answer, obs::Json &) {
+            fold.add(answer);
+        });
+
     const obs::Json build = obs::buildInfoJson();
     telem::ExpositionExtras extras;
-    const auto uptime = std::chrono::duration<double>(
-        std::chrono::steady_clock::now() - start_);
-    extras.uptimeS = uptime.count();
+    extras.uptimeS = doc.get("uptime_s").asDouble();
     {
         std::lock_guard<std::mutex> lock(mutex_);
         extras.served = stats_.jobsRouted + stats_.cmdsServed;
     }
     extras.buildInfo = &build;
-
-    obs::Json doc = obs::Json::object();
-    stamp(doc, "stitchrouter-scrape");
     doc.set("content_type", telem::expositionContentType);
-    doc.set("exposition", telem::prometheusText(merged, extras));
+    doc.set("exposition", telem::prometheusText(fold.merged, extras));
     return doc;
+}
+
+obs::Json
+Router::askShards(
+    const char *cmd, const char *schema,
+    const std::function<void(const obs::Json &, obs::Json &)> &onAnswer)
+{
+    obs::Json doc = obs::Json::object();
+    doc.set("schema", schema);
+    doc.set("version", routerSchemaVersion);
+    doc.set("build", obs::buildInfoJson());
+    doc.set("uptime_s", std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start_)
+                            .count());
+
+    obs::Json request = obs::Json::object();
+    request.set("cmd", cmd);
+    obs::Json rows = obs::Json::array();
+    std::uint64_t healthy = 0;
+    for (Shard &shard : shards_) {
+        std::optional<obs::Json> answer;
+        try {
+            answer = svc::requestReport(
+                shard.endpoint.host, shard.endpoint.port, request,
+                /*chaos=*/nullptr, /*requestIndex=*/0,
+                options_.shardTimeoutMs);
+        } catch (const fault::ConfigError &) {
+            // A transport failure: the shard is dead to this command.
+        }
+        obs::Json row = obs::Json::object();
+        row.set("name", shard.endpoint.name());
+        row.set("healthy", answer.has_value());
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            recordOutcome(shard, answer.has_value());
+            row.set("routed", shard.routed);
+            row.set("failures", shard.failures);
+        }
+        if (answer) {
+            ++healthy;
+            onAnswer(*answer, row);
+        }
+        rows.push(std::move(row));
+    }
+    doc.set("shards", std::move(rows));
+    doc.set("healthy_shards", healthy);
+    doc.set("total_shards",
+            static_cast<std::uint64_t>(shards_.size()));
+    return doc;
+}
+
+void
+Router::recordOutcome(Shard &shard, bool answered)
+{
+    shard.dead = !answered;
+    if (answered)
+        return;
+    shard.deadSince = std::chrono::steady_clock::now();
+    ++shard.failures;
+    ++stats_.shardFailures;
 }
 
 RouterStats

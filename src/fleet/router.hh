@@ -18,15 +18,16 @@
  * "unavailable" error — never a dropped connection, never an
  * untyped failure.
  *
- * Introspection path: "cmd" documents are answered fleet-wide.
- * healthz probes every shard and reports per-shard liveness; statz /
- * metrics fetch each live shard's "fleetz" snapshot (the lossless
- * MetricSample + retained windows wire form) and fold them with the
- * telemetry merge algebra — Histogram::merge bucket-by-bucket,
- * windows aligned by seq — so fleet-level p50/p99 are computed from
- * real merged populations, not averaged quantiles. scrape renders
- * the merged sample as one Prometheus exposition for the whole
- * fleet.
+ * Introspection path: "cmd" documents are answered fleet-wide through
+ * one fan-out that asks every shard once and records each outcome as
+ * shard health, exactly as a routed job does. healthz sends each
+ * shard a healthz; statz / metrics and scrape send each a "fleetz"
+ * (the lossless MetricSample + retained windows wire form) and fold
+ * the answers with the telemetry merge algebra — Histogram::merge
+ * bucket-by-bucket, windows aligned by seq — so fleet-level p50/p99
+ * are computed from real merged populations, not averaged quantiles.
+ * statz renders every shard series generically; scrape renders the
+ * merged sample as one Prometheus exposition for the whole fleet.
  */
 
 #ifndef STITCH_FLEET_ROUTER_HH
@@ -34,6 +35,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -104,7 +106,6 @@ class Router
 
     RouterStats stats() const;
     const HashRing &ring() const { return ring_; }
-    const RouterOptions &options() const { return options_; }
 
   private:
     struct Shard
@@ -120,6 +121,18 @@ class Router
     obs::Json healthzJson();
     obs::Json scrapeJson();
     Shard &shardByName(const std::string &name);
+
+    /** The one fan-out: send {"cmd": cmd} to every shard once and
+     *  return a `schema` document with one health row per shard;
+     *  `onAnswer` extends the row of each shard that answered. */
+    obs::Json askShards(
+        const char *cmd, const char *schema,
+        const std::function<void(const obs::Json &answer,
+                                 obs::Json &row)> &onAnswer);
+
+    /** The one writer of shard health (caller holds mutex_): a
+     *  transport failure marks the shard dead and counts it. */
+    void recordOutcome(Shard &shard, bool answered);
 
     /** True when the shard should be skipped (dead, holdoff not yet
      *  expired). */

@@ -16,12 +16,13 @@ parsePeerEndpoint(const std::string &text)
     if (colon == std::string::npos || colon == 0)
         throw fault::ConfigError(detail::formatMessage(
             "peer endpoint must be HOST:PORT, got '", text, "'"));
-    const long port = std::strtol(text.c_str() + colon + 1,
-                                  nullptr, 10);
-    if (port < 1 || port > 65535)
+    const char *digits = text.c_str() + colon + 1;
+    char *end = nullptr;
+    const long port = std::strtol(digits, &end, 10);
+    if (end == digits || *end != '\0' || port < 1 || port > 65535)
         throw fault::ConfigError(detail::formatMessage(
             "peer endpoint '", text,
-            "' has a port outside 1..65535"));
+            "' needs a port number in 1..65535"));
     PeerEndpoint peer;
     peer.host = text.substr(0, colon);
     peer.port = static_cast<std::uint16_t>(port);
@@ -76,12 +77,11 @@ cachePutRequest(const JobSpec &spec, const std::string &key,
 
 RemoteCacheClient::RemoteCacheClient(
     const RemoteCacheOptions &options)
-    : timeoutMs_(options.timeoutMs),
-      writeBehind_(options.writeBehind)
+    : timeoutMs_(options.timeoutMs)
 {
     for (const std::string &peer : options.peers)
         peers_.push_back(parsePeerEndpoint(peer));
-    if (writeBehind_ && !peers_.empty())
+    if (!peers_.empty())
         writer_ = std::thread([this] { writerLoop(); });
 }
 
@@ -177,10 +177,6 @@ RemoteCacheClient::storeBehind(const JobSpec &spec,
     if (peers_.empty())
         return;
     obs::Json doc = cachePutRequest(spec, key, entry);
-    if (!writeBehind_) {
-        replicate(doc);
-        return;
-    }
     {
         std::lock_guard<std::mutex> lock(mutex_);
         queue_.push_back(std::move(doc));
@@ -240,7 +236,7 @@ RemoteCacheClient::writerLoop()
 void
 RemoteCacheClient::flush()
 {
-    if (!writer_.joinable()) // inline mode: nothing queues
+    if (!writer_.joinable()) // no peers: nothing queues
         return;
     std::unique_lock<std::mutex> lock(mutex_);
     cv_.wait(lock,

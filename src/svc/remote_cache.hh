@@ -62,7 +62,8 @@ struct PeerEndpoint
 };
 
 /** Parse "host:port"; throws fault::ConfigError on malformed input
- *  (no colon, port outside 1..65535). */
+ *  (no colon, a port that is not a number in 1..65535). The one
+ *  endpoint parser every tool uses. */
 PeerEndpoint parsePeerEndpoint(const std::string &text);
 
 /** Parse a comma-separated peer list, skipping empty segments. */
@@ -78,12 +79,6 @@ struct RemoteCacheOptions
     /** Per-operation socket timeout (ms): a dead-but-lingering peer
      *  costs at most this much per probe, never a wedged worker. */
     std::uint64_t timeoutMs = 250;
-
-    /** true: stores replicate on a background thread (the daemon
-     *  default — job latency never waits on peers). false: stores
-     *  replicate inline before the call returns, which tests and
-     *  single-shot tools use for determinism. */
-    bool writeBehind = true;
 };
 
 /** Lookup/replication activity since construction. */
@@ -124,7 +119,6 @@ class RemoteCacheClient
     RemoteCacheClient(const RemoteCacheClient &) = delete;
     RemoteCacheClient &operator=(const RemoteCacheClient &) = delete;
 
-    bool enabled() const { return !peers_.empty(); }
     const std::vector<PeerEndpoint> &peers() const { return peers_; }
 
     /**
@@ -137,10 +131,9 @@ class RemoteCacheClient
                                      const std::string &key);
 
     /**
-     * Replicate a freshly simulated entry to every peer. With
-     * writeBehind the document is queued and the call returns
-     * immediately; otherwise it replicates inline. Failures are
-     * counted, never raised.
+     * Replicate a freshly simulated entry to every peer: the
+     * document is queued for the background writer and the call
+     * returns immediately. Failures are counted, never raised.
      */
     void storeBehind(const JobSpec &spec, const std::string &key,
                      const CacheEntry &entry);
@@ -157,7 +150,6 @@ class RemoteCacheClient
 
     std::vector<PeerEndpoint> peers_;
     std::uint64_t timeoutMs_;
-    bool writeBehind_;
 
     mutable std::mutex mutex_; ///< stats_ + queue_ + busy_/stop_
     std::condition_variable cv_;

@@ -2,6 +2,8 @@
 
 #include <arpa/inet.h>
 #include <cerrno>
+#include <csignal>
+#include <cstdio>
 #include <cstring>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -40,6 +42,16 @@ writeAll(int fd, const void *data, std::size_t len)
     return true;
 }
 
+/** Bound one direction (SO_RCVTIMEO / SO_SNDTIMEO) of `fd`'s I/O. */
+void
+setTimeout(int fd, int option, std::uint64_t ms)
+{
+    timeval tv{};
+    tv.tv_sec = static_cast<time_t>(ms / 1000);
+    tv.tv_usec = static_cast<suseconds_t>((ms % 1000) * 1000);
+    ::setsockopt(fd, SOL_SOCKET, option, &tv, sizeof tv);
+}
+
 /** read() until `len` bytes; false on error/EOF. */
 bool
 readAll(int fd, void *data, std::size_t len)
@@ -71,43 +83,67 @@ sendFrame(int fd, const std::string &payload)
            writeAll(fd, payload.data(), payload.size());
 }
 
-/** Typed outcome of one frame receive — the serve loop answers each
- *  violation with a distinct protocol error instead of one generic
- *  "malformed" (or, worse, a silent close). */
-enum class RecvStatus
+/** Receive one frame into `payload`. Returns why no whole frame
+ *  arrived — each violation gets its own typed message instead of one
+ *  generic "malformed" (or, worse, a silent close) — or "" when one
+ *  did. `timeoutMs` is the SO_RCVTIMEO in effect, for the message. */
+std::string
+recvFrame(int fd, std::string &payload, std::uint32_t maxBytes,
+          std::uint64_t timeoutMs)
 {
-    Ok,
-    Closed,   ///< EOF before a complete length prefix
-    Oversize, ///< length prefix beyond the configured frame cap
-    Short,    ///< peer hung up (or I/O error) mid-body
-    Timeout,  ///< SO_RCVTIMEO expired mid-read
-};
-
-struct RecvResult
-{
-    RecvStatus status = RecvStatus::Ok;
-    std::uint32_t announced = 0; ///< the length the prefix promised
-};
-
-RecvResult
-recvFrame(int fd, std::string &payload,
-          std::uint32_t maxBytes = maxRequestBytes)
-{
-    auto ioStatus = [] {
-        return (errno == EAGAIN || errno == EWOULDBLOCK)
-                   ? RecvStatus::Timeout
-                   : RecvStatus::Short;
+    auto ioFailure = [timeoutMs]() -> std::string {
+        if (errno == EAGAIN || errno == EWOULDBLOCK)
+            return detail::formatMessage("read timed out after ",
+                                         timeoutMs, " ms mid-request");
+        return "connection closed before a complete frame arrived";
     };
     std::uint32_t len = 0;
     if (!readAll(fd, &len, sizeof len))
-        return {errno == 0 ? RecvStatus::Closed : ioStatus(), 0};
+        return ioFailure();
     len = ntohl(len);
     if (len > maxBytes)
-        return {RecvStatus::Oversize, len};
+        return detail::formatMessage("request frame of ", len,
+                                     " bytes exceeds the ", maxBytes,
+                                     "-byte limit");
     payload.resize(len);
     if (len > 0 && !readAll(fd, payload.data(), len))
-        return {ioStatus(), len};
-    return {RecvStatus::Ok, len};
+        return ioFailure();
+    return "";
+}
+
+/** The Server a shutdown signal drains. */
+std::atomic<Server *> gSignalled{nullptr};
+
+void
+onShutdownSignal(int)
+{
+    if (Server *server = gSignalled.load())
+        server->stop(); // async-signal-safe
+}
+
+/** The frame-to-response skeleton both answer paths share: a framing
+ *  violation or a request that does not parse answers a typed error
+ *  (reported to `onProtocolFailure`), anything else `answer`. */
+obs::Json
+frameResponse(
+    const Frame &frame,
+    const std::function<obs::Json(const obs::Json &)> &answer,
+    const std::function<void(const std::string &)> &onProtocolFailure)
+{
+    if (!frame.violation.empty()) {
+        onProtocolFailure(frame.violation);
+        return errorResponseJson("protocol", frame.violation);
+    }
+    try {
+        return answer(obs::Json::parse(frame.text));
+    } catch (const FatalError &e) {
+        // Json::parse fatals on malformed text; a handler that fatals
+        // answers typed too.
+        onProtocolFailure(e.what());
+        return errorResponseJson("config", e.what());
+    } catch (const std::exception &e) {
+        return errorResponseJson("internal", e.what());
+    }
 }
 
 } // namespace
@@ -125,17 +161,6 @@ errorResponseJson(const std::string &kind,
     return doc;
 }
 
-namespace
-{
-
-obs::Json
-errorResponse(const std::string &kind, const std::string &message)
-{
-    return errorResponseJson(kind, message);
-}
-
-} // namespace
-
 obs::Json
 handleRequest(JobEngine &engine, const obs::Json &jobDoc,
               int *jobIdOut)
@@ -148,11 +173,11 @@ handleRequest(JobEngine &engine, const obs::Json &jobDoc,
     } catch (const OverloadedError &e) {
         // Admission-control rejection: the typed cue for the client
         // to back off and retry (requestReportWithRetry does).
-        return errorResponse("overloaded", e.what());
+        return errorResponseJson("overloaded", e.what());
     } catch (const fault::ConfigError &e) {
-        return errorResponse("config", e.what());
+        return errorResponseJson("config", e.what());
     } catch (const std::exception &e) {
-        return errorResponse("internal", e.what());
+        return errorResponseJson("internal", e.what());
     }
     if (jobIdOut)
         *jobIdOut = id;
@@ -160,7 +185,7 @@ handleRequest(JobEngine &engine, const obs::Json &jobDoc,
 
     const JobResult &result = engine.result(id);
     if (result.status != JobResult::Status::Completed) {
-        obs::Json doc = errorResponse(
+        obs::Json doc = errorResponseJson(
             result.errorKind.empty() ? "internal" : result.errorKind,
             result.error.empty()
                 ? std::string("job ended ") +
@@ -188,12 +213,12 @@ cacheVerbResponse(JobEngine &engine, const obs::Json &doc)
     const std::string cmd = doc.get("cmd").asString();
     try {
         if (!doc.has("key") || !doc.has("spec"))
-            return errorResponse(
+            return errorResponseJson(
                 "config", cmd + " needs \"key\" and \"spec\"");
         const JobSpec spec = JobSpec::fromJson(doc.get("spec"));
         const std::string key = doc.get("key").asString();
         if (spec.cacheKey() != key)
-            return errorResponse(
+            return errorResponseJson(
                 "config",
                 detail::formatMessage(
                     "cache key ", key,
@@ -230,7 +255,7 @@ cacheVerbResponse(JobEngine &engine, const obs::Json &doc)
         // before they are ever stored.
         if (!doc.has("stamp") ||
             doc.get("stamp").asString() != cacheStamp())
-            return errorResponse(
+            return errorResponseJson(
                 "mismatch",
                 detail::formatMessage(
                     "cacheput stamp ",
@@ -239,7 +264,7 @@ cacheVerbResponse(JobEngine &engine, const obs::Json &doc)
                         : std::string("(missing)"),
                     " does not match this shard's ", cacheStamp()));
         if (!doc.has("report") || !doc.has("derived"))
-            return errorResponse(
+            return errorResponseJson(
                 "config", "cacheput needs \"report\" and "
                           "\"derived\"");
         CacheEntry entry;
@@ -250,9 +275,9 @@ cacheVerbResponse(JobEngine &engine, const obs::Json &doc)
         resp.set("stored", true);
         return resp;
     } catch (const fault::ConfigError &e) {
-        return errorResponse("config", e.what());
+        return errorResponseJson("config", e.what());
     } catch (const std::exception &e) {
-        return errorResponse("internal", e.what());
+        return errorResponseJson("internal", e.what());
     }
 }
 
@@ -318,29 +343,69 @@ introspectionResponse(JobEngine &engine, const std::string &cmd,
                 engine.expositionText(uptimeS, served));
         return doc;
     }
-    return errorResponse("config", "unknown cmd: " + cmd);
+    return errorResponseJson("config", "unknown cmd: " + cmd);
+}
+
+void
+answerFrame(JobEngine &engine, const Frame &frame, double uptimeS,
+            std::uint64_t served, const Reply &reply)
+{
+    int jobId = -1;
+    const obs::Json response = frameResponse(
+        frame,
+        [&](const obs::Json &doc) {
+            if (!doc.isObject() || !doc.has("cmd"))
+                return handleRequest(engine, doc, &jobId);
+            const std::string cmd = doc.get("cmd").asString();
+            if (cmd == "cacheget" || cmd == "cacheput")
+                return cacheVerbResponse(engine, doc);
+            return introspectionResponse(engine, cmd, uptimeS, served);
+        },
+        // A framing violation never became a job, so no ring exists
+        // for it; the engine dumps a synthetic kind="protocol" flight
+        // record instead.
+        [&](const std::string &message) {
+            engine.recordProtocolFailure(message);
+        });
+    // Serialization + write-back is the respond stage; with telemetry
+    // off traceContext() returns a null-sink context and this is a
+    // no-op.
+    telem::ScopedSpan span(engine.traceContext(jobId),
+                           telem::Stage::Respond);
+    reply(response);
 }
 
 Server::Server(JobEngine &engine, std::uint16_t port,
                ServerOptions options)
-    : engine_(&engine), options_(options)
+    : Server(FrameHandler([this, &engine](const Frame &frame,
+                                          const Reply &reply) {
+                 answerFrame(engine, frame, uptimeS(), served_, reply);
+             }),
+             port, options)
 {
-    bindAndListen(port);
 }
 
 Server::Server(RequestHandler handler, std::uint16_t port,
                ServerOptions options)
-    : handler_(std::move(handler)), options_(options)
+    : Server(handler ? FrameHandler([handler = std::move(handler)](
+                                        const Frame &frame,
+                                        const Reply &reply) {
+                           reply(frameResponse(
+                               frame, handler,
+                               [](const std::string &) {}));
+                       })
+                     : FrameHandler(),
+             port, options)
 {
-    if (!handler_)
-        throw fault::ConfigError(
-            "stitchd: Server needs a non-empty request handler");
-    bindAndListen(port);
 }
 
-void
-Server::bindAndListen(std::uint16_t port)
+Server::Server(FrameHandler handler, std::uint16_t port,
+               ServerOptions options)
+    : answer_(std::move(handler)), options_(options)
 {
+    if (!answer_)
+        throw fault::ConfigError(
+            "stitchd: Server needs a non-empty request handler");
     listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
     if (listenFd_ < 0)
         throw fault::ConfigError(detail::formatMessage(
@@ -359,7 +424,6 @@ Server::bindAndListen(std::uint16_t port)
         ::listen(listenFd_, 16) < 0) {
         const std::string why = std::strerror(errno);
         ::close(listenFd_);
-        listenFd_ = -1;
         throw fault::ConfigError(detail::formatMessage(
             "stitchd: cannot listen on 127.0.0.1:", port, ": ",
             why));
@@ -377,19 +441,17 @@ Server::bindAndListen(std::uint16_t port)
 Server::~Server()
 {
     stop();
+    ::close(listenFd_);
 }
 
 void
 Server::stop()
 {
-    if (stopping_.exchange(true))
-        return;
-    if (listenFd_ >= 0) {
-        // shutdown() wakes a blocked accept(); close() alone may not.
+    // shutdown() wakes a blocked accept() and refuses new
+    // connections; the fd itself stays open until the destructor, so
+    // serve() never races a close or a reassignment.
+    if (!stopping_.exchange(true))
         ::shutdown(listenFd_, SHUT_RDWR);
-        ::close(listenFd_);
-        listenFd_ = -1;
-    }
 }
 
 void
@@ -402,104 +464,51 @@ Server::serve(int maxRequests)
         if (fd < 0) {
             if (errno == EINTR)
                 continue;
-            break; // listener closed (stop()) or broken
+            break; // listener shut down (stop()) or broken
         }
         ++served;
         ++served_;
 
-        if (options_.readTimeoutMs > 0) {
-            // A client that connects and stalls must not wedge the
-            // single-threaded serve loop forever.
-            timeval tv{};
-            tv.tv_sec = static_cast<time_t>(
-                options_.readTimeoutMs / 1000);
-            tv.tv_usec = static_cast<suseconds_t>(
-                (options_.readTimeoutMs % 1000) * 1000);
-            ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv,
-                         sizeof tv);
-        }
+        // A client that connects and stalls must not wedge the
+        // single-threaded serve loop forever.
+        if (options_.readTimeoutMs > 0)
+            setTimeout(fd, SO_RCVTIMEO, options_.readTimeoutMs);
 
-        std::string payload;
-        obs::Json response;
-        int jobId = -1;
-        const RecvResult recv =
-            recvFrame(fd, payload, options_.maxFrameBytes);
-        if (recv.status != RecvStatus::Ok) {
-            // Typed, best-effort reply: a peer that already hung up
-            // just loses the write, which is fine — nothing to
-            // answer a closed socket with.
-            switch (recv.status) {
-            case RecvStatus::Oversize:
-                response = errorResponse(
-                    "protocol",
-                    detail::formatMessage(
-                        "request frame of ", recv.announced,
-                        " bytes exceeds the ",
-                        options_.maxFrameBytes, "-byte limit"));
-                break;
-            case RecvStatus::Timeout:
-                response = errorResponse(
-                    "protocol",
-                    detail::formatMessage(
-                        "read timed out after ",
-                        options_.readTimeoutMs, " ms mid-request"));
-                break;
-            case RecvStatus::Closed:
-            case RecvStatus::Short:
-            default:
-                response = errorResponse(
-                    "protocol",
-                    "connection closed before a complete frame "
-                    "arrived");
-                break;
-            }
-            // A framing violation never became a job, so no ring
-            // exists for it; the engine dumps a synthetic
-            // kind="protocol" flight record instead.
-            if (engine_)
-                engine_->recordProtocolFailure(
-                    response.get("error").asString());
-        } else {
-            try {
-                obs::Json doc = obs::Json::parse(payload);
-                if (handler_) {
-                    response = handler_(doc);
-                } else if (doc.isObject() && doc.has("cmd")) {
-                    const std::string cmd =
-                        doc.get("cmd").asString();
-                    response =
-                        (cmd == "cacheget" || cmd == "cacheput")
-                            ? cacheVerbResponse(*engine_, doc)
-                            : introspectionResponse(*engine_, cmd,
-                                                    uptimeS(),
-                                                    served_);
-                } else {
-                    response =
-                        handleRequest(*engine_, doc, &jobId);
-                }
-            } catch (const FatalError &e) {
-                // Json::parse fatals on malformed text; a handler
-                // that fatals answers typed too.
-                response = errorResponse("config", e.what());
-                if (engine_)
-                    engine_->recordProtocolFailure(e.what());
-            } catch (const std::exception &e) {
-                response = errorResponse("internal", e.what());
-            }
-        }
-        {
-            // Serialization + write-back is the respond stage; with
-            // telemetry off traceContext() returns a null-sink
-            // context and this is a no-op.
-            telem::ScopedSpan span(engine_
-                                       ? engine_->traceContext(jobId)
-                                       : telem::TraceContext{},
-                                   telem::Stage::Respond);
+        // A framing violation gets a typed, best-effort reply: a peer
+        // that already hung up just loses the write, which is fine —
+        // nothing to answer a closed socket with.
+        Frame frame;
+        frame.violation = recvFrame(fd, frame.text,
+                                    options_.maxFrameBytes,
+                                    options_.readTimeoutMs);
+        answer_(frame, [fd](const obs::Json &response) {
             if (!sendFrame(fd, response.dump(2) + "\n"))
                 warn("stitchd: client hung up before the response");
-        }
+        });
         ::close(fd);
     }
+}
+
+void
+serveUntilSignalled(Server &server, const char *name,
+                    const std::string &portFile, int maxRequests)
+{
+    gSignalled.store(&server);
+    struct sigaction sa{};
+    sa.sa_handler = onShutdownSignal;
+    ::sigaction(SIGINT, &sa, nullptr);
+    ::sigaction(SIGTERM, &sa, nullptr);
+
+    std::printf("%s: listening on 127.0.0.1:%u\n", name,
+                static_cast<unsigned>(server.port()));
+    std::fflush(stdout);
+    if (!portFile.empty()) {
+        std::FILE *f = obs::openArtifactFile(portFile);
+        std::fprintf(f, "%u\n", static_cast<unsigned>(server.port()));
+        std::fclose(f);
+    }
+    server.serve(maxRequests);
+    gSignalled.store(nullptr);
 }
 
 double
@@ -525,12 +534,8 @@ requestReport(const std::string &host, std::uint16_t port,
         // but never answers (a SIGKILLed-but-lingering shard, a
         // wedged daemon) must surface as a transport failure the
         // caller can fail over on, not a hang.
-        timeval tv{};
-        tv.tv_sec = static_cast<time_t>(timeoutMs / 1000);
-        tv.tv_usec =
-            static_cast<suseconds_t>((timeoutMs % 1000) * 1000);
-        ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof tv);
-        ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof tv);
+        setTimeout(fd, SO_RCVTIMEO, timeoutMs);
+        setTimeout(fd, SO_SNDTIMEO, timeoutMs);
     }
 
     sockaddr_in addr{};
@@ -567,8 +572,9 @@ requestReport(const std::string &host, std::uint16_t port,
             : jobDoc.dump();
 
     std::string payload;
-    const bool ok = sendFrame(fd, body) &&
-                    recvFrame(fd, payload).status == RecvStatus::Ok;
+    const bool ok =
+        sendFrame(fd, body) &&
+        recvFrame(fd, payload, maxRequestBytes, timeoutMs).empty();
     ::close(fd);
     if (!ok)
         throw fault::ConfigError(detail::formatMessage(

@@ -91,7 +91,17 @@ struct ServerOptions
     std::uint64_t readTimeoutMs = 5000;
 };
 
-/** Localhost request-per-connection server over one JobEngine. */
+/** One request frame as a serve loop received it. */
+struct Frame
+{
+    std::string text;      ///< the request document's text
+    std::string violation; ///< why no whole frame arrived, or ""
+};
+
+/** Serializes one response and writes it back to the client. */
+using Reply = std::function<void(const obs::Json &response)>;
+
+/** Localhost request-per-connection server. */
 class Server
 {
   public:
@@ -103,9 +113,14 @@ class Server
     using RequestHandler =
         std::function<obs::Json(const obs::Json &request)>;
 
+    /** What serve() runs for every received frame. */
+    using FrameHandler =
+        std::function<void(const Frame &frame, const Reply &reply)>;
+
     /**
      * Bind and listen on 127.0.0.1:`port` (0 picks a free port; read
-     * it back with port()). Throws fault::ConfigError when the socket
+     * it back with port()) and answer every frame with answerFrame()
+     * over `engine`. Throws fault::ConfigError when the socket
      * cannot be bound.
      */
     Server(JobEngine &engine, std::uint16_t port = 0,
@@ -115,6 +130,11 @@ class Server
      *  answered by `handler` instead of a JobEngine — stitchrouter's
      *  front door. */
     Server(RequestHandler handler, std::uint16_t port = 0,
+           ServerOptions options = {});
+
+    /** For a listener that must bind before the engine it answers
+     *  with exists (engines that need each other's ports). */
+    Server(FrameHandler handler, std::uint16_t port = 0,
            ServerOptions options = {});
     ~Server();
 
@@ -133,10 +153,12 @@ class Server
 
     /**
      * Unblock serve() from another thread or a signal handler;
-     * idempotent. Async-signal-safe: shutdown()/close() are on the
-     * safe list and the atomic exchange is lock-free. The request
-     * being answered when stop() lands still completes (the loop is
-     * single-threaded), which is the daemon's drain.
+     * idempotent. Async-signal-safe: it only shuts the listener down
+     * (shutdown() is on the safe list and the atomic exchange is
+     * lock-free); the destructor closes it once serve() has
+     * returned. The request being answered when stop() lands still
+     * completes (the loop is single-threaded), which is the daemon's
+     * drain.
      */
     void stop();
 
@@ -146,22 +168,35 @@ class Server
     /** Seconds since construction. */
     double uptimeS() const;
 
-    /** The hardening knobs in effect. */
-    const ServerOptions &options() const { return options_; }
-
   private:
-    void bindAndListen(std::uint16_t port);
-
-    JobEngine *engine_ = nullptr; ///< null in handler mode
-    RequestHandler handler_;      ///< empty in engine mode
+    FrameHandler answer_;
     ServerOptions options_;
-    int listenFd_ = -1;
+    int listenFd_ = -1; ///< written only by the ctor and dtor
     std::uint16_t port_ = 0;
     std::atomic<bool> stopping_{false};
     std::uint64_t served_ = 0;
     std::chrono::steady_clock::time_point start_ =
         std::chrono::steady_clock::now();
 };
+
+/** A daemon's serving lifetime: announce the port on stdout (and in
+ *  `portFile` when given), then serve until `maxRequests` or until
+ *  SIGINT/SIGTERM drains the loop through stop(). */
+void serveUntilSignalled(Server &server, const char *name,
+                         const std::string &portFile,
+                         int maxRequests = 0);
+
+/**
+ * stitchd's one answer path: a cache verb goes to cacheVerbResponse,
+ * any other "cmd" to introspectionResponse (with the listener's
+ * `uptimeS` and `served`), a job document to handleRequest. A
+ * framing violation or an unparseable request answers a typed error
+ * and leaves a kind="protocol" flight record. The reply runs inside
+ * the job's respond span.
+ */
+void answerFrame(JobEngine &engine, const Frame &frame,
+                 double uptimeS, std::uint64_t served,
+                 const Reply &reply);
 
 /** Build the response document for one job document — the pure part
  *  of the serving loop (submit, run, format). Never throws; every

@@ -53,40 +53,41 @@ sloMetricValue(const std::string &metric, const Window &window,
         return true;
     };
     if (metric == "e2e_p50_ms")
-        return quantileMs("e2e", 0.50);
+        return quantileMs(series::e2e, 0.50);
     if (metric == "e2e_p99_ms")
-        return quantileMs("e2e", 0.99);
+        return quantileMs(series::e2e, 0.99);
     if (metric == "queue_p99_ms")
-        return quantileMs("queue", 0.99);
+        return quantileMs(series::queue, 0.99);
     if (metric == "error_rate") {
         const double done = static_cast<double>(
-            window.counter("jobs_completed") +
-            window.counter("jobs_failed"));
+            window.counter(series::jobsCompleted) +
+            window.counter(series::jobsFailed));
         if (done <= 0.0)
             return false;
         *value =
-            static_cast<double>(window.counter("jobs_failed")) /
+            static_cast<double>(window.counter(series::jobsFailed)) /
             done;
         return true;
     }
     if (metric == "cache_hit_rate") {
         const double completed = static_cast<double>(
-            window.counter("jobs_completed"));
+            window.counter(series::jobsCompleted));
         if (completed <= 0.0)
             return false;
         *value =
-            static_cast<double>(window.counter("jobs_cache_hits")) /
+            static_cast<double>(
+                window.counter(series::jobsCacheHits)) /
             completed;
         return true;
     }
     if (metric == "throughput_jobs_s") {
         if (window.durationS() <= 0.0)
             return false;
-        *value = window.rate("jobs_completed");
+        *value = window.rate(series::jobsCompleted);
         return true;
     }
     if (metric == "queue_depth") {
-        *value = window.gauge("queue_depth");
+        *value = window.gauge(series::queueDepth);
         return true;
     }
     return false;

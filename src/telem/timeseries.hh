@@ -39,6 +39,19 @@
 namespace stitch::telem
 {
 
+/** Engine series read back by name (the SLO metrics, the router's
+ *  derived fleet fields); a test pins each against a live engine's
+ *  metricsSnapshot(), so a rename fails there instead of reading 0. */
+namespace series
+{
+inline constexpr const char *jobsCompleted = "jobs_completed";
+inline constexpr const char *jobsFailed = "jobs_failed";
+inline constexpr const char *jobsCacheHits = "jobs_cache_hits";
+inline constexpr const char *queueDepth = "queue_depth"; ///< gauge
+inline constexpr const char *e2e = "e2e";     ///< histogram
+inline constexpr const char *queue = "queue"; ///< histogram
+} // namespace series
+
 /**
  * One cumulative snapshot of every service metric: monotone
  * counters, instantaneous gauges and cumulative latency histograms,

@@ -602,8 +602,14 @@ TEST(ContinuousEngine, ProtocolFailuresGetSyntheticBlackBoxes)
     options.flightDir =
         ::testing::TempDir() + "stitch_flight_proto";
     JobEngine engine(options);
-    engine.recordProtocolFailure("torn frame from 127.0.0.1");
-    engine.recordProtocolFailure("garbage length prefix");
+    // A torn frame and an unparseable one, via the shard answer path.
+    std::vector<std::string> kinds;
+    const Reply reply = [&](const obs::Json &response) {
+        kinds.push_back(response.get("error_kind").asString());
+    };
+    answerFrame(engine, {"", "torn frame from 127.0.0.1"}, 0, 0, reply);
+    answerFrame(engine, {"\x7f not json", ""}, 0, 0, reply);
+    EXPECT_EQ(kinds, (std::vector<std::string>{"protocol", "config"}));
     EXPECT_EQ(engine.flightRecorder()->dumps(), 2u);
 }
 
@@ -639,7 +645,6 @@ TEST(ContinuousEngine, ReportTreeAndSampleNameEachOther)
     options.telemetry = true;
     options.remoteCache.peers = {"127.0.0.1:" +
                                  std::to_string(peerServer.port())};
-    options.remoteCache.writeBehind = false;
     options.slo = telem::SloConfig::defaults();
     options.flightDir = ::testing::TempDir() + "stitch_flight_names";
     JobEngine engine(options);
@@ -683,6 +688,14 @@ TEST(ContinuousEngine, ReportTreeAndSampleNameEachOther)
     for (const auto &[name, value] : series)
         EXPECT_TRUE(leaves.count(name)) << "series without a leaf: "
                                         << name;
+    // The series the SLO metrics and the router's derived fleet
+    // fields read by name exist, so a rename fails here, not as a 0.
+    for (const char *name :
+         {telem::series::jobsCompleted, telem::series::jobsFailed,
+          telem::series::jobsCacheHits, telem::series::queueDepth})
+        EXPECT_TRUE(series.count(name)) << name;
+    for (const char *name : {telem::series::e2e, telem::series::queue})
+        EXPECT_NE(sample.histogram(name), nullptr) << name;
     // The failure, the hit and the remote traffic all landed.
     EXPECT_EQ(leaves["jobs_failed"], 1u);
     EXPECT_EQ(leaves["jobs_cache_hits"], 1u);

@@ -273,7 +273,6 @@ TEST(RemoteCache, ReadThroughAdoptsAPeersEntry)
     svc::EngineOptions o2;
     o2.remoteCache.peers = {"127.0.0.1:" +
                             std::to_string(s1.port())};
-    o2.remoteCache.writeBehind = false;
     svc::JobEngine e2(o2);
     const int id2 = e2.submit(spec);
     e2.run();
@@ -300,7 +299,6 @@ TEST(RemoteCache, WriteBehindReplicatesAFreshSimulation)
     svc::EngineOptions o2;
     o2.remoteCache.peers = {"127.0.0.1:" +
                             std::to_string(s1.port())};
-    o2.remoteCache.writeBehind = false; // inline, for determinism
     svc::JobEngine e2(o2);
     const svc::JobSpec spec = cheapSpec(11);
     const int id = e2.submit(spec);
@@ -308,6 +306,7 @@ TEST(RemoteCache, WriteBehindReplicatesAFreshSimulation)
     ASSERT_EQ(e2.result(id).status,
               svc::JobResult::Status::Completed);
     EXPECT_FALSE(e2.result(id).cached);
+    e2.flushRemoteCache(); // the background writer has replicated
 
     // The fresh result must now live in the peer's own cache.
     EXPECT_TRUE(e1.cache().lookup(spec).has_value());
@@ -319,6 +318,15 @@ TEST(RemoteCache, WriteBehindReplicatesAFreshSimulation)
 
 // ---------------------------------------------------------------- //
 // router
+
+/** A {"cmd": cmd} introspection request. */
+obs::Json
+cmdDoc(const char *cmd)
+{
+    obs::Json doc = obs::Json::object();
+    doc.set("cmd", cmd);
+    return doc;
+}
 
 /** Three live stitchd shards (engine-mode servers on free ports)
  *  plus a Router fronting them. */
@@ -435,11 +443,7 @@ TEST_F(RouterFixture, AggregatesFleetWideStatz)
                       .asString(),
                   "ok");
 
-    obs::Json statz = router_->handle([] {
-        obs::Json doc = obs::Json::object();
-        doc.set("cmd", "statz");
-        return doc;
-    }());
+    obs::Json statz = router_->handle(cmdDoc("statz"));
     EXPECT_EQ(statz.get("schema").asString(), routerStatzSchema);
     const obs::Json &fleet = statz.get("fleet");
     EXPECT_EQ(fleet.get("healthy_shards").asUint(),
@@ -447,23 +451,60 @@ TEST_F(RouterFixture, AggregatesFleetWideStatz)
     EXPECT_EQ(fleet.get("jobs_submitted").asUint(), 3u);
     EXPECT_EQ(fleet.get("jobs_completed").asUint(), 3u);
     EXPECT_EQ(fleet.get("jobs_failed").asUint(), 0u);
+    EXPECT_DOUBLE_EQ(fleet.get("fleet_hit_rate").asDouble(), 0.0);
     EXPECT_EQ(statz.get("router").get("jobs_routed").asUint(), 3u);
-    ASSERT_EQ(statz.get("shards").size(),
-              static_cast<std::size_t>(kShards));
+    const obs::Json &shards = statz.get("shards");
+    ASSERT_EQ(shards.size(), static_cast<std::size_t>(kShards));
+
+    // Every series of every shard's sample is in its row, and each
+    // merged fleet value is the sum over the rows.
+    std::map<std::string, double> sums;
+    for (std::size_t r = 0; r < shards.size(); ++r) {
+        const obs::Json &row = shards.at(r);
+        const int i = shardIndexByName(row.get("name").asString());
+        ASSERT_GE(i, 0);
+        telem::MetricSample sample = engines_[i]->metricsSnapshot();
+        for (const auto &[name, value] : sample.counters)
+            sample.gauges.emplace_back(name, static_cast<double>(value));
+        for (const auto &[name, value] : sample.gauges) {
+            ASSERT_TRUE(row.has(name)) << name;
+            EXPECT_DOUBLE_EQ(row.get(name).asDouble(), value) << name;
+            sums[name] += value;
+        }
+    }
+    for (const auto &[name, sum] : sums)
+        EXPECT_DOUBLE_EQ(fleet.get(name).asDouble(), sum) << name;
 
     // The merged e2e histogram is a real population: its count is
     // the fleet-wide completed total, not an average of averages.
     EXPECT_GE(fleet.get("e2e_p99_ms").asDouble(),
               fleet.get("e2e_p50_ms").asDouble());
 
-    obs::Json health = router_->handle([] {
-        obs::Json doc = obs::Json::object();
-        doc.set("cmd", "healthz");
-        return doc;
-    }());
+    obs::Json health = router_->handle(cmdDoc("healthz"));
     EXPECT_EQ(health.get("schema").asString(), routerHealthzSchema);
     EXPECT_EQ(health.get("healthy_shards").asUint(),
               static_cast<std::uint64_t>(kShards));
+}
+
+TEST_F(RouterFixture, EveryFanOutMarksAStoppedShardDeadAlike)
+{
+    stopShard(1);
+    for (const char *cmd : {"healthz", "statz", "scrape"}) {
+        const std::uint64_t failures = router_->stats().shardFailures;
+        const obs::Json doc = router_->handle(cmdDoc(cmd));
+        EXPECT_EQ(doc.get("healthy_shards").asUint(), kShards - 1u);
+        const obs::Json &shards = doc.get("shards");
+        for (std::size_t r = 0; r < shards.size(); ++r) {
+            const obs::Json &row = shards.at(r);
+            const bool dead = row.get("name").asString() == shardName(1);
+            EXPECT_EQ(row.get("healthy").asBool(), !dead) << cmd;
+            EXPECT_EQ(row.get("failures").asUint(),
+                      dead ? failures + 1 : 0u)
+                << cmd;
+        }
+        // The dead shard was asked once: one transport failure.
+        EXPECT_EQ(router_->stats().shardFailures, failures + 1) << cmd;
+    }
 }
 
 TEST(Router, ExhaustionAnswersTypedUnavailable)
@@ -494,9 +535,12 @@ TEST(Router, ValidatesItsOptions)
     dup.shards = {"127.0.0.1:9001", "127.0.0.1:9001"};
     EXPECT_THROW(Router{dup}, fault::ConfigError);
 
-    RouterOptions bad;
-    bad.shards = {"no-port-here"};
-    EXPECT_THROW(Router{bad}, fault::ConfigError);
+    for (const char *text : {"no-port-here", "127.0.0.1:99999",
+                             "127.0.0.1:abc", "127.0.0.1:80x", ":80"}) {
+        RouterOptions bad;
+        bad.shards = {text};
+        EXPECT_THROW(Router{bad}, fault::ConfigError) << text;
+    }
 }
 
 // ---------------------------------------------------------------- //

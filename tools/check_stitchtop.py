@@ -13,6 +13,9 @@ recorder armed), drives one healthy job and one doomed job
            counters monotone across two scrapes
 
 and that the doomed job left a flight-*.jsonl black box behind.
+`stitchd --send` must print a non-job answer (exit 0, 1 on a
+status:"error" answer), and stitchd --send and stitchtop must reject a
+malformed HOST:PORT with exit 2.
 
 Invoked by the stitchtop_schema_golden ctest entry via
 check_stitchtop.cmake; exits non-zero with a message on the first
@@ -153,6 +156,29 @@ def main():
                      % proc.stdout.decode())
             if not want_ok and proc.returncode == 0:
                 fail("deadline_ms=1 job unexpectedly succeeded")
+
+        # --send prints any answer and exits 1 only on status "error";
+        # stitchd --send and stitchtop reject a malformed HOST:PORT
+        # with exit 2.
+        cmd_path = os.path.join(out, "stitchtop_cmd.json")
+        for cmd, target, want in (("metrics", port, 0), ("bogus", port, 1),
+                                  ("metrics", 99999, 2),
+                                  ("metrics", "abc", 2)):
+            with open(cmd_path, "w") as f:
+                json.dump({"cmd": cmd}, f)
+            target = "127.0.0.1:%s" % target
+            runs = [[args.stitchd, "--send=" + target, cmd_path]]
+            if want == 2:
+                runs.append([args.stitchtop, target, "--once"])
+            for argv in runs:
+                proc = subprocess.run(argv, capture_output=True,
+                                      timeout=30)
+                if proc.returncode != want:
+                    fail("%s exited %d, expected %d"
+                         % (" ".join(argv), proc.returncode, want))
+            if want == 0 and \
+                    json.loads(proc.stdout)["schema"] != "stitchd-metrics":
+                fail("--send did not print the metrics answer")
 
         # Let at least one 100 ms collector window close over the
         # completed traffic before asserting on series/SLO state.

@@ -8,7 +8,7 @@
  *           [--frame-limit=BYTES] [--read-timeout-ms=N]
  *           [--metrics-interval-ms=N] [--slo=FILE]
  *           [--flight-dir=DIR] [--peers=HOST:PORT,...]
- *           [--remote-timeout-ms=N] [--remote-inline] [--verbose]
+ *           [--remote-timeout-ms=N] [--verbose]
  *   stitchd --send=HOST:PORT JOB.json [--retries=N]
  *           [--retry-base-ms=X] [--retry-seed=S]
  *   stitchd --version
@@ -17,9 +17,8 @@
  * stitchd fleet. The daemon then serves its ResultCache to them over
  * the "cacheget"/"cacheput" verbs and consults theirs before
  * simulating (read-through), replicating fresh results back out on a
- * background thread (write-behind; --remote-inline replicates before
- * answering instead, for deterministic scripts). A job simulated on
- * any shard is a cache hit fleet-wide. See tools/stitchrouter for
+ * background thread (write-behind). A job simulated on any shard is a
+ * cache hit fleet-wide. See tools/stitchrouter for
  * the consistent-hash front-end.
  *
  * Continuous telemetry (DESIGN.md §14): the daemon samples its
@@ -48,18 +47,18 @@
  * are answered from live engine state — see tools/stitchtop for a
  * client.
  *
- * Shutdown is graceful: SIGINT/SIGTERM closes the listener (new
+ * Shutdown is graceful: SIGINT/SIGTERM shuts the listener down (new
  * connections are refused), the request in flight drains, and the
  * daemon prints a final service report (also written to --report=FILE
  * when given) before exiting 0.
  *
- * --send is the bundled client: submit one job file to a running
- * daemon and print the response to stdout (exit 1 on a status:"error"
- * response) — no second binary or python needed for scripting.
+ * --send is the bundled client: submit one request file (a job or a
+ * {"cmd":...} document) to a running daemon and print the response
+ * to stdout (exit 1 on a status:"error" response) — no second binary
+ * or python needed for scripting.
  */
 
 #include <cerrno>
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -77,18 +76,6 @@ using namespace stitch;
 
 namespace
 {
-
-/** Set once the Server exists so the signal handler can reach it.
- *  Server::stop() is async-signal-safe (shutdown/close + a lock-free
- *  atomic exchange). */
-svc::Server *gServer = nullptr;
-
-void
-onShutdownSignal(int)
-{
-    if (gServer)
-        gServer->stop();
-}
 
 std::string
 readFileText(const std::string &path)
@@ -111,23 +98,17 @@ int
 sendMode(const std::string &target, const std::string &jobPath,
          const svc::RetryPolicy &retry)
 {
-    const auto colon = target.rfind(':');
-    if (colon == std::string::npos) {
-        std::fprintf(stderr,
-                     "stitchd: --send expects HOST:PORT, got %s\n",
-                     target.c_str());
-        return 2;
-    }
-    const std::string host = target.substr(0, colon);
-    const int port = std::atoi(target.c_str() + colon + 1);
-
-    const std::string text = readFileText(jobPath);
-
+    const svc::PeerEndpoint peer = svc::parsePeerEndpoint(target);
     obs::Json response = svc::requestReportWithRetry(
-        host, static_cast<std::uint16_t>(port),
-        obs::Json::parse(text), retry);
+        peer.host, peer.port, obs::Json::parse(readFileText(jobPath)),
+        retry);
     std::printf("%s\n", response.dump(2).c_str());
-    return response.get("status").asString() == "ok" ? 0 : 1;
+    // Introspection answers need not carry a status at all.
+    const bool failed = response.has("status") &&
+                        response.get("status").kind() ==
+                            obs::Json::Kind::String &&
+                        response.get("status").asString() == "error";
+    return failed ? 1 : 0;
 }
 
 } // namespace
@@ -204,10 +185,6 @@ main(int argc, char **argv)
                 std::strtoull(value.c_str(), nullptr, 10));
             continue;
         }
-        if (std::strcmp(arg, "--remote-inline") == 0) {
-            remoteCache.writeBehind = false;
-            continue;
-        }
         if (cli::keyedValue(arg, "--retries=", &value)) {
             retry.maxAttempts = 1 + std::atoi(value.c_str());
             continue;
@@ -272,24 +249,8 @@ main(int argc, char **argv)
                            static_cast<std::uint16_t>(port),
                            serverOptions);
 
-        gServer = &server;
-        struct sigaction sa{};
-        sa.sa_handler = onShutdownSignal;
-        ::sigaction(SIGINT, &sa, nullptr);
-        ::sigaction(SIGTERM, &sa, nullptr);
-
-        std::printf("stitchd: listening on 127.0.0.1:%u\n",
-                    static_cast<unsigned>(server.port()));
-        std::fflush(stdout);
-        if (!portFile.empty()) {
-            std::FILE *f = obs::openArtifactFile(portFile);
-            std::fprintf(f, "%u\n",
-                         static_cast<unsigned>(server.port()));
-            std::fclose(f);
-        }
-
-        server.serve(maxRequests);
-        gServer = nullptr;
+        svc::serveUntilSignalled(server, "stitchd", portFile,
+                                 maxRequests);
 
         // Drain the write-behind replication queue before reporting
         // so the final counters cover every store attempt.

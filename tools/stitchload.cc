@@ -40,6 +40,7 @@
 #include "obs/buildinfo.hh"
 #include "obs/json.hh"
 #include "obs/registry.hh"
+#include "svc/remote_cache.hh"
 
 using namespace stitch;
 
@@ -141,24 +142,17 @@ main(int argc, char **argv)
             return 0;
         }
 
-        const auto colon = target.rfind(':');
-        if (target.empty() || colon == std::string::npos) {
+        if (target.empty()) {
             std::fprintf(
                 stderr,
                 "stitchload: need a HOST:PORT target (or "
                 "--dump-stream)\n");
             return 2;
         }
-        const std::string host = target.substr(0, colon);
-        const int port = std::atoi(target.c_str() + colon + 1);
-        if (port < 1 || port > 65535) {
-            std::fprintf(stderr, "stitchload: bad port in %s\n",
-                         target.c_str());
-            return 2;
-        }
+        const svc::PeerEndpoint peer = svc::parsePeerEndpoint(target);
 
-        const fleet::LoadReport report = fleet::runLoad(
-            mix, host, static_cast<std::uint16_t>(port));
+        const fleet::LoadReport report =
+            fleet::runLoad(mix, peer.host, peer.port);
         const obs::Json doc = report.toJson();
         if (!quiet)
             std::printf("%s\n", doc.dump(2).c_str());

@@ -31,12 +31,11 @@
  * exposition for the whole fleet. stitchtop --fleet renders the
  * statz form as a live dashboard.
  *
- * Shutdown mirrors stitchd: SIGINT/SIGTERM closes the listener, the
+ * Shutdown mirrors stitchd: SIGINT/SIGTERM shuts the listener down, the
  * in-flight request drains, and a final stitchrouter-statz document
  * is printed (and written to --report=FILE when given).
  */
 
-#include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -52,20 +51,6 @@
 #include "svc/server.hh"
 
 using namespace stitch;
-
-namespace
-{
-
-svc::Server *gServer = nullptr;
-
-void
-onShutdownSignal(int)
-{
-    if (gServer)
-        gServer->stop();
-}
-
-} // namespace
 
 int
 main(int argc, char **argv)
@@ -140,17 +125,9 @@ main(int argc, char **argv)
     }
 
     try {
-        // Comma-split here; the Router validates each endpoint.
-        std::size_t start = 0;
-        while (start <= shardsCsv.size()) {
-            std::size_t end = shardsCsv.find(',', start);
-            if (end == std::string::npos)
-                end = shardsCsv.size();
-            if (end > start)
-                options.shards.push_back(
-                    shardsCsv.substr(start, end - start));
-            start = end + 1;
-        }
+        for (const svc::PeerEndpoint &shard :
+             svc::parsePeerList(shardsCsv))
+            options.shards.push_back(shard.name());
 
         fleet::Router router(options);
         svc::Server server(
@@ -159,27 +136,10 @@ main(int argc, char **argv)
             },
             static_cast<std::uint16_t>(port), serverOptions);
 
-        gServer = &server;
-        struct sigaction sa{};
-        sa.sa_handler = onShutdownSignal;
-        ::sigaction(SIGINT, &sa, nullptr);
-        ::sigaction(SIGTERM, &sa, nullptr);
-
-        std::printf(
-            "stitchrouter: listening on 127.0.0.1:%u, fronting %zu "
-            "shard(s)\n",
-            static_cast<unsigned>(server.port()),
-            router.ring().size());
-        std::fflush(stdout);
-        if (!portFile.empty()) {
-            std::FILE *f = obs::openArtifactFile(portFile);
-            std::fprintf(f, "%u\n",
-                         static_cast<unsigned>(server.port()));
-            std::fclose(f);
-        }
-
-        server.serve(maxRequests);
-        gServer = nullptr;
+        std::printf("stitchrouter: fronting %zu shard(s)\n",
+                    router.ring().size());
+        svc::serveUntilSignalled(server, "stitchrouter", portFile,
+                                 maxRequests);
 
         obs::Json report = router.statzJson();
         const fleet::RouterStats stats = router.stats();

@@ -3,13 +3,12 @@
  * stitchtop — live introspection client for a running stitchd.
  *
  * Usage:
- *   stitchtop [HOST:PORT] [--host=H] [--port=P]
- *             [--cmd=metrics|healthz|statz|scrape] [--fleet]
+ *   stitchtop HOST:PORT [--cmd=metrics|healthz|statz|scrape] [--fleet]
  *             [--interval=SEC] [--once] [--json]
  *   stitchtop --version
  *
  * Polls the daemon's introspection endpoint (default: metrics every
- * 2s against 127.0.0.1) and renders a refreshing table: uptime,
+ * 2s) and renders a refreshing table: uptime,
  * queue depth, in-flight jobs, per-band backlog, cache hit/miss/evict
  * rates, per-stage latency quantiles, SLO burn-rate status (one
  * sparkline per objective, alerting objectives flagged) and the
@@ -348,8 +347,7 @@ renderFleetTable(const obs::Json &doc, const std::string &target)
 int
 main(int argc, char **argv)
 {
-    std::string host = "127.0.0.1";
-    int port = 0;
+    svc::PeerEndpoint peer;
     std::string cmd = "metrics";
     double intervalS = 2.0;
     bool once = false, json = false;
@@ -363,13 +361,8 @@ main(int argc, char **argv)
                         obs::versionText("stitchtop").c_str());
             return 0;
         }
-        if (cli::keyedValue(arg, "--cmd=", &cmd) ||
-            cli::keyedValue(arg, "--host=", &host))
+        if (cli::keyedValue(arg, "--cmd=", &cmd))
             continue;
-        if (cli::keyedValue(arg, "--port=", &value)) {
-            port = std::atoi(value.c_str());
-            continue;
-        }
         if (std::strcmp(arg, "--fleet") == 0) {
             // The router's statz carries the per-shard dashboard.
             fleet = true;
@@ -394,22 +387,18 @@ main(int argc, char **argv)
             return 2;
         }
         // HOST:PORT positional.
-        const std::string target = arg;
-        const auto colon = target.rfind(':');
-        if (colon == std::string::npos) {
-            std::fprintf(stderr,
-                         "stitchtop: expected HOST:PORT, got %s\n",
-                         arg);
+        try {
+            peer = svc::parsePeerEndpoint(arg);
+        } catch (const FatalError &e) {
+            std::fprintf(stderr, "stitchtop: %s\n", e.what());
             return 2;
         }
-        host = target.substr(0, colon);
-        port = std::atoi(target.c_str() + colon + 1);
     }
 
-    if (port <= 0) {
+    if (peer.port == 0) {
         std::fprintf(
             stderr,
-            "usage: stitchtop HOST:PORT [--host=H] [--cmd=metrics|"
+            "usage: stitchtop HOST:PORT [--cmd=metrics|"
             "healthz|statz|scrape] [--fleet] [--interval=SEC] "
             "[--once] [--json]\n");
         return 2;
@@ -423,14 +412,11 @@ main(int argc, char **argv)
 
     obs::Json request = obs::Json::object();
     request.set("cmd", cmd);
-    const std::string target =
-        host + ":" + std::to_string(port);
 
     for (;;) {
         obs::Json doc;
         try {
-            doc = svc::requestReport(
-                host, static_cast<std::uint16_t>(port), request);
+            doc = svc::requestReport(peer.host, peer.port, request);
         } catch (const FatalError &e) {
             std::fprintf(stderr, "stitchtop: %s\n", e.what());
             return 1;
@@ -457,9 +443,9 @@ main(int argc, char **argv)
                      (doc.has("schema") &&
                       doc.get("schema").asString() ==
                           "stitchrouter-statz"))
-                renderFleetTable(doc, target);
+                renderFleetTable(doc, peer.name());
             else
-                renderTable(doc, target);
+                renderTable(doc, peer.name());
             std::fflush(stdout);
         }
 
